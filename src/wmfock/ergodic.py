@@ -46,10 +46,9 @@ def _columns_matrix(space: TruncSpace, x: Element,
                     cols: Sequence[BasisTuple]) -> SparseMat:
     """Matrix of x restricted to the given column tuples (full row space)."""
     space.materialize()
-    cache: Dict = {}
     entries: Dict[Tuple[int, int], scalars.Scalar] = {}
     for c, t in enumerate(cols):
-        for img, coeff in column_action(space, x, t, cache).items():
+        for img, coeff in column_action(space, x, t).items():
             entries[(space.position(img), c)] = coeff
     return SparseMat(space.dimension, len(cols), entries)
 

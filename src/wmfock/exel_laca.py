@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .errors import FinitenessError
 from .expr import Case, Element
@@ -184,7 +184,6 @@ def verify_el_suite(
         if not space.contains_index(i):
             raise ValueError(f"universe index {i} outside the window")
     s_margin = max(0, min(universe[0] - space.lo, space.hi - universe[-1]))
-    cache: Dict = {}
     report = Report(
         suite="exel-laca",
         config={
@@ -197,7 +196,7 @@ def verify_el_suite(
     )
 
     def run(iid: str, lhs: Element, rhs: Element) -> None:
-        chk = verify_identity(space, lhs, rhs, index_margin=s_margin, tol=tol, cache=cache)
+        chk = verify_identity(space, lhs, rhs, index_margin=s_margin, tol=tol)
         report.add(Instance(iid, chk.passed, chk.discrepancy_json,
                             {"columns": chk.columns_checked}))
 

@@ -247,10 +247,6 @@ def adjoint(x: Element) -> Element:
     return x.adjoint()
 
 
-def multiply(x: Element, y: Element) -> Element:
-    return x * y
-
-
 def shift(x: Element, m: int) -> Element:
     return x.shift(m)
 

@@ -8,7 +8,9 @@ and kills top-level vectors; the annihilator a(i) strips a leading i.  In
 the N case, index-0 letters denote the abstract bottom generator: under
 evaluation (at unit phase) both c(0) and a(0) act as the rank-one vacuum
 projection; build_generator still rejects index 0, since the gauge-aware
-version lives with the representation builders.
+version lives with the representation builders.  A word acts letter by
+letter on each tuple it meets; no (word, tuple) memo is kept, since
+recomputing a short word costs no more than hashing such a key.
 
 Basis order is by particle count, then ascending lexicographic order of
 the tuple, and is part of the interface: matrix positions are stable.
@@ -16,7 +18,9 @@ the tuple, and is part of the interface: matrix positions are stable.
 Spaces are lazy: constructing one never materializes the basis, and the
 dimension cap is enforced only when a basis listing is actually needed.
 Identity checks therefore run column by column on interior tuples and can
-use windows whose full dimension is far beyond the cap.
+use windows whose full dimension is far beyond the cap.  Each identity
+picks its arithmetic once: native + and != when every coefficient is an
+int or Fraction, the scalar tower otherwise.
 
 Interior contract: a word whose creator surplus is at most r maps the
 span of basis tuples with at most trunc - r particles exactly as the
@@ -29,6 +33,7 @@ the words involved, the tight sound choice.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Tuple
@@ -172,17 +177,12 @@ def annihilator_tuple(i: int, t: BasisTuple) -> Optional[BasisTuple]:
     return None
 
 
-def word_image(space: TruncSpace, w: Word, t: BasisTuple,
-               cache: Optional[dict] = None) -> Optional[BasisTuple]:
+def word_image(space: TruncSpace, w: Word, t: BasisTuple) -> Optional[BasisTuple]:
     """Image tuple of the word acting on e_t, or None when it dies.
 
     Words are partial permutations of the basis: the image carries
     coefficient exactly 1 when it exists.
     """
-    if cache is not None:
-        key = (w, t)
-        if key in cache:
-            return cache[key]
     out = t
     for i, dag in reversed(w):
         if i == 0 and space.case is Case.N:
@@ -192,37 +192,38 @@ def word_image(space: TruncSpace, w: Word, t: BasisTuple,
             out = creator_tuple(space, i, out) if dag else annihilator_tuple(i, out)
         if out is None:
             break
-    if cache is not None:
-        cache[(w, t)] = out
     return out
 
 
-def column_action(space: TruncSpace, x: Element, t: BasisTuple,
-                  cache: Optional[dict] = None) -> Dict[BasisTuple, scalars.Scalar]:
-    """The vector x e_t as a tuple-keyed dict (zero coefficients dropped)."""
+def _column(space: TruncSpace, x: Element, t: BasisTuple,
+            add, is_zero) -> Dict[BasisTuple, scalars.Scalar]:
     out: Dict[BasisTuple, scalars.Scalar] = {}
-    if not scalars.is_zero(x.unit):
+    if not is_zero(x.unit):
         out[t] = x.unit
     for w, c in x.terms.items():
-        img = word_image(space, w, t, cache)
+        img = word_image(space, w, t)
         if img is None:
             continue
-        acc = scalars.add(out.get(img, 0), c)
-        if scalars.is_zero(acc):
+        acc = add(out.get(img, 0), c)
+        if is_zero(acc):
             out.pop(img, None)
         else:
             out[img] = acc
     return out
 
 
+def column_action(space: TruncSpace, x: Element, t: BasisTuple) -> Dict[BasisTuple, scalars.Scalar]:
+    """The vector x e_t as a tuple-keyed dict (zero coefficients dropped)."""
+    return _column(space, x, t, scalars.add, scalars.is_zero)
+
+
 def apply_element_to_vector(space: TruncSpace, x: Element,
-                            vec: Dict[BasisTuple, scalars.Scalar],
-                            cache: Optional[dict] = None) -> Dict[BasisTuple, scalars.Scalar]:
+                            vec: Dict[BasisTuple, scalars.Scalar]) -> Dict[BasisTuple, scalars.Scalar]:
     out: Dict[BasisTuple, scalars.Scalar] = {}
     for t, v in vec.items():
         if scalars.is_zero(v):
             continue
-        for img, c in column_action(space, x, t, cache).items():
+        for img, c in column_action(space, x, t).items():
             acc = scalars.add(out.get(img, 0), scalars.mul(v, c))
             if scalars.is_zero(acc):
                 out.pop(img, None)
@@ -325,27 +326,6 @@ class SparseMat:
     def max_abs_entry(self) -> float:
         return max((scalars.gabs(v) for v in self.entries.values()), default=0.0)
 
-    def equal_within(self, other: "SparseMat", tol: float = scalars.DEFAULT_TOL) -> bool:
-        self._require_shape(other)
-        for k in set(self.entries) | set(other.entries):
-            if not scalars.geq(self.entries.get(k, 0), other.entries.get(k, 0), tol):
-                return False
-        return True
-
-    def max_abs_diff(self, other: "SparseMat") -> float:
-        self._require_shape(other)
-        worst = 0.0
-        for k in set(self.entries) | set(other.entries):
-            a = self.entries.get(k, 0)
-            b = other.entries.get(k, 0)
-            if isinstance(a, scalars.LaurentZ) or isinstance(b, scalars.LaurentZ):
-                d = scalars.gabs(scalars.gadd(a, scalars.gneg(b)))
-            else:
-                d = abs(scalars.to_complex(a) - scalars.to_complex(b))
-            if d > worst:
-                worst = d
-        return worst
-
     def to_dense(self, z: Optional[complex] = None) -> np.ndarray:
         out = np.zeros((self.n_rows, self.n_cols), dtype=complex)
         for (r, c), v in self.entries.items():
@@ -410,38 +390,63 @@ class IdentityCheck:
         return self.max_discrepancy
 
 
+def _is_rational(s) -> bool:
+    return isinstance(s, (int, Fraction)) and not isinstance(s, bool)
+
+
 def verify_identity(space: TruncSpace, lhs: Element, rhs: Element,
                     margin: Optional[int] = None, index_margin: int = 0,
-                    tol: float = scalars.DEFAULT_TOL,
-                    cache: Optional[dict] = None) -> IdentityCheck:
+                    tol: float = scalars.DEFAULT_TOL) -> IdentityCheck:
     """Compare lhs and rhs column by column on interior tuples.
 
-    Exact coefficients compare exactly; once a float or complex coefficient
-    is involved the comparison is |diff| <= tol.  The margin defaults to
-    the max creator surplus of the words on either side, which is the
-    least margin for which truncated and untruncated actions agree on the
-    interior.
+    The arithmetic is chosen once per identity, before the column loop.
+    When every unit and coefficient on both sides is an int or Fraction,
+    columns are summed and compared with native + and !=, and the
+    discrepancy abs(complex(a) - complex(b)) is computed only where they
+    differ.  Otherwise the scalar tower is used: exact coefficients compare
+    exactly, and once a float or complex coefficient is involved the
+    comparison is |diff| <= tol.  Both routes report the same verdict,
+    column count and discrepancy.  Word images are recomputed for every
+    column; no memo is kept.
+
+    The margin defaults to the max creator surplus of the words on either
+    side, which is the least margin for which truncated and untruncated
+    actions agree on the interior.
     """
     space.check_indices(lhs)
     space.check_indices(rhs)
     if margin is None:
         margin = max(lhs.max_surplus(), rhs.max_surplus())
+    native = all(_is_rational(c) for x in (lhs, rhs)
+                 for c in (x.unit, *x.terms.values()))
+    if native:
+        add, is_zero = operator.add, operator.not_
+    else:
+        add, is_zero = scalars.add, scalars.is_zero
     passed = True
     exact = True
     worst = 0.0
     count = 0
     for t in interior_tuples(space, margin, index_margin):
         count += 1
-        va = column_action(space, lhs, t, cache)
-        vb = column_action(space, rhs, t, cache)
-        for key in set(va) | set(vb):
+        va = _column(space, lhs, t, add, is_zero)
+        vb = _column(space, rhs, t, add, is_zero)
+        if native and va == vb:
+            continue
+        for key in va.keys() | vb.keys():
             a = va.get(key, 0)
             b = vb.get(key, 0)
-            if not (scalars.is_exact(a) and scalars.is_exact(b)):
-                exact = False
-            if not scalars.eq(a, b, tol):
+            if native:
+                if a == b:
+                    continue
                 passed = False
-            d = abs(scalars.to_complex(a) - scalars.to_complex(b))
+                d = abs(complex(a) - complex(b))
+            else:
+                if not (scalars.is_exact(a) and scalars.is_exact(b)):
+                    exact = False
+                if not scalars.eq(a, b, tol):
+                    passed = False
+                d = abs(scalars.to_complex(a) - scalars.to_complex(b))
             if d > worst:
                 worst = d
     return IdentityCheck(passed=passed, exact=exact, max_discrepancy=worst,

@@ -9,8 +9,6 @@ feature is that the lowest-index creator is a co-isometry.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
-
 from .expr import Case, Element
 from .fock import TruncSpace, verify_identity
 from .reports import Instance, Report
@@ -20,9 +18,9 @@ def _w(case: Case, *letters) -> Element:
     return Element.word(case, tuple(letters))
 
 
-def _run(report: Report, space: TruncSpace, cache: Dict, s_margin: int,
+def _run(report: Report, space: TruncSpace, s_margin: int,
          iid: str, lhs: Element, rhs: Element, tol: float) -> None:
-    chk = verify_identity(space, lhs, rhs, index_margin=s_margin, tol=tol, cache=cache)
+    chk = verify_identity(space, lhs, rhs, index_margin=s_margin, tol=tol)
     report.add(Instance(iid, chk.passed, chk.discrepancy_json,
                         {"columns": chk.columns_checked}))
 
@@ -41,7 +39,6 @@ def relations_z_suite(space: TruncSpace, depth: int = 2,
     if lo > hi:
         raise ValueError("window too small for the requested depth")
     Z = Case.Z
-    cache: Dict = {}
     report = Report(suite="relations-z",
                     config={"window": [space.lo, space.hi],
                             "particles": space.trunc,
@@ -50,18 +47,18 @@ def relations_z_suite(space: TruncSpace, depth: int = 2,
     for i in idx:
         for j in idx:
             if i != j:
-                _run(report, space, cache, depth, f"annihilate-create[{i},{j}]",
+                _run(report, space, depth, f"annihilate-create[{i},{j}]",
                      _w(Z, (i, False), (j, True)), Element.zero(Z), tol)
             if i < j:
-                _run(report, space, cache, depth, f"creator-order[{i},{j}]",
+                _run(report, space, depth, f"creator-order[{i},{j}]",
                      _w(Z, (i, True), (j, True)), Element.zero(Z), tol)
-                _run(report, space, cache, depth, f"annihilator-order[{j},{i}]",
+                _run(report, space, depth, f"annihilator-order[{j},{i}]",
                      _w(Z, (j, False), (i, False)), Element.zero(Z), tol)
-            _run(report, space, cache, depth, f"absorb[{i},{j}]",
+            _run(report, space, depth, f"absorb[{i},{j}]",
                  _w(Z, (i, False), (i, True), (j, True)),
                  _w(Z, (j, True)).scale(1 if i >= j else 0), tol)
     for i in range(lo + 1, hi + 1):
-        _run(report, space, cache, depth, f"ladder[{i}]",
+        _run(report, space, depth, f"ladder[{i}]",
              _w(Z, (i, False), (i, True)),
              _w(Z, (i - 1, False), (i - 1, True)) + _w(Z, (i, True), (i, False)), tol)
     return report
@@ -77,21 +74,20 @@ def anti_suite(space: TruncSpace, tol: float = 1e-12) -> Report:
     if space.case is not Case.ANTI:
         raise ValueError("this suite is for the anti-monotone case")
     A = Case.ANTI
-    cache: Dict = {}
     report = Report(suite="anti",
                     config={"window": [space.lo, space.hi],
                             "particles": space.trunc})
-    _run(report, space, cache, 0, "co-isometry[1]",
+    _run(report, space, 0, "co-isometry[1]",
          _w(A, (1, False), (1, True)), Element.one(A), tol)
     idx = range(space.lo, space.hi + 1)
     for i in idx:
         for j in idx:
             if i != j:
-                _run(report, space, cache, 0, f"annihilate-create[{i},{j}]",
+                _run(report, space, 0, f"annihilate-create[{i},{j}]",
                      _w(A, (i, False), (j, True)), Element.zero(A), tol)
             if i > j:
-                _run(report, space, cache, 0, f"creator-order[{i},{j}]",
+                _run(report, space, 0, f"creator-order[{i},{j}]",
                      _w(A, (i, True), (j, True)), Element.zero(A), tol)
-        _run(report, space, cache, 0, f"partial-isometry[{i}]",
+        _run(report, space, 0, f"partial-isometry[{i}]",
              _w(A, (i, True), (i, False), (i, True)), _w(A, (i, True)), tol)
     return report

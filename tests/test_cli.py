@@ -1,9 +1,12 @@
 """Command line interface: subcommands, report schema, exit codes."""
 
+import hashlib
 import json
+import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -13,9 +16,15 @@ from wmfock.errors import InternalConsistencyError
 RUNTIME = re.compile(rb'"runtimeMillis": \d+')
 
 
+# the child process imports the same wmfock as this one
+SRC = str(Path(cli.__file__).resolve().parents[1])
+ENV = {**os.environ,
+       "PYTHONPATH": os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))}
+
+
 def run_cli(*args):
     proc = subprocess.run([sys.executable, "-m", "wmfock.cli", *args],
-                          capture_output=True)
+                          capture_output=True, env=ENV)
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -211,3 +220,20 @@ def test_reports_deterministic():
         _, first, _ = run_cli(*args)
         _, second, _ = run_cli(*args)
         assert mask(first) == mask(second)
+
+
+@pytest.mark.parametrize("args, digest", [
+    (("verify", "--suite", "exel-laca", "--window", "-4..4", "--particles", "3",
+      "--max-size", "1"),
+     "29a0802c83d21027570acf09ab19be002f3bfa5701d5f28c9dbd35eb836c451b"),
+    (("verify", "--suite", "relations-z", "--window", "-3..3", "--particles", "3"),
+     "2a4a55e079d748e1232e3804b68d02ca7d215da1b0c62bdb57575ad9a6cbdcf5"),
+    (("verify", "--suite", "anti", "--window", "1..4", "--particles", "3"),
+     "86a87ae70ca6c3a8e0b869b85d21f9301645ece3c1615b61d63eb13ea7242e70"),
+])
+def test_verify_reports_byte_identical(args, digest):
+    # sha256 of the report with runtimeMillis masked, as first recorded
+    code, out, err = run_cli(*args)
+    assert code == 0, err.decode()
+    masked = RUNTIME.sub(b'"runtimeMillis": X', out)
+    assert hashlib.sha256(masked).hexdigest() == digest

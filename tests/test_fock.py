@@ -167,6 +167,26 @@ def test_word_image_matches_naive_oracle():
             "Z", word, t, space.trunc)
 
 
+@pytest.mark.parametrize("case, lo, hi, trunc, letters", [
+    ("Z", -2, 2, 3, (-2, 2)),
+    ("N", 1, 3, 3, (0, 3)),  # index 0 is the bottom generator
+    ("ANTI", 1, 3, 3, (1, 3)),
+])
+def test_word_image_matches_naive_oracle_on_every_tuple(case, lo, hi, trunc, letters):
+    rng = Random(79)
+    space = TruncSpace(case, lo, hi, trunc)
+    assert any(len(t) == trunc for t in space.basis)
+    alive = 0
+    for _ in range(60):
+        word = tuple((rng.randint(*letters), rng.random() < 0.5)
+                     for _ in range(rng.randint(1, 5)))
+        for t in space.basis:
+            img = word_image(space, word, t)
+            assert img == oracles.act_word(case, word, t, trunc), (word, t)
+            alive += img is not None
+    assert alive > 0
+
+
 def test_interior_frozen_examples():
     space = TruncSpace("N", 1, 2, 2)
     assert sorted(interior_columns(space, 2, 0)) == [space.position(())]
@@ -258,6 +278,35 @@ def test_identity_check_json_tag():
     chk = verify_identity(nspace, parse("q(1)", "N"), parse("p(0) + p(1)", "N"))
     assert isinstance(chk, IdentityCheck)
     assert chk.discrepancy_json == "exact-0"
+
+
+def _with_float_coefficient(x: Element) -> Element:
+    w = min(x.terms)
+    return Element(x.case, x.unit, {**x.terms, w: float(x.terms[w])})
+
+
+def test_verify_identity_native_and_tower_arithmetic_agree():
+    nspace = TruncSpace("N", 1, 3, 3)
+    zspace = TruncSpace("Z", -2, 2, 3)
+    for space, lhs, rhs in (
+            (nspace, parse("1/2 q(1)", "N"), parse("1/2 p(0) + 1/2 p(1)", "N")),
+            (zspace, parse("1/3 p(0)", "Z"), parse("1/2 p(0)", "Z")),
+            (zspace, parse("1/3 q(1) + 2/7 p(-1)", "Z"), parse("1/2 q(1)", "Z"))):
+        rational = verify_identity(space, lhs, rhs)
+        tower = verify_identity(space, lhs, _with_float_coefficient(rhs))
+        assert rational.exact and not tower.exact
+        assert rational.passed == tower.passed
+        assert rational.columns_checked == tower.columns_checked
+        assert rational.max_discrepancy == tower.max_discrepancy
+
+
+def test_verify_identity_failing_rational_discrepancy_pinned():
+    zspace = TruncSpace("Z", -2, 2, 3)
+    chk = verify_identity(zspace, parse("1/3 p(0)", "Z"), parse("1/2 p(0)", "Z"))
+    assert not chk.passed and chk.exact
+    assert chk.columns_checked == 56
+    # |complex(1/3) - complex(1/2)|, one ulp above float(1/6)
+    assert chk.max_discrepancy == 0.16666666666666669
 
 
 def test_apply_element_and_column_action_agree():
