@@ -19,8 +19,8 @@ Spaces are lazy: constructing one never materializes the basis, and the
 dimension cap is enforced only when a basis listing is actually needed.
 Identity checks therefore run column by column on interior tuples and can
 use windows whose full dimension is far beyond the cap.  Each identity
-picks its arithmetic once: native + and != when every coefficient is an
-int or Fraction, the scalar tower otherwise.
+picks its arithmetic once: native column sums when every coefficient is
+an int or Fraction, the scalar tower otherwise.
 
 Interior contract: a word whose creator surplus is at most r maps the
 span of basis tuples with at most trunc - r particles exactly as the
@@ -401,13 +401,12 @@ def verify_identity(space: TruncSpace, lhs: Element, rhs: Element,
 
     The arithmetic is chosen once per identity, before the column loop.
     When every unit and coefficient on both sides is an int or Fraction,
-    columns are summed and compared with native + and !=, and the
-    discrepancy abs(complex(a) - complex(b)) is computed only where they
-    differ.  Otherwise the scalar tower is used: exact coefficients compare
-    exactly, and once a float or complex coefficient is involved the
-    comparison is |diff| <= tol.  Both routes report the same verdict,
-    column count and discrepancy.  Word images are recomputed for every
-    column; no memo is kept.
+    columns are summed with native + and equal columns are skipped with a
+    single ==; otherwise they are summed in the scalar tower.  Entries of
+    differing columns are compared in the scalar tower either way: exact
+    scalars compare exactly, and once a float or complex coefficient is
+    involved the comparison is |diff| <= tol.  Word images are recomputed
+    for every column; no memo is kept.
 
     The margin defaults to the max creator surplus of the words on either
     side, which is the least margin for which truncated and untruncated
@@ -436,17 +435,11 @@ def verify_identity(space: TruncSpace, lhs: Element, rhs: Element,
         for key in va.keys() | vb.keys():
             a = va.get(key, 0)
             b = vb.get(key, 0)
-            if native:
-                if a == b:
-                    continue
+            if not (scalars.is_exact(a) and scalars.is_exact(b)):
+                exact = False
+            if not scalars.eq(a, b, tol):
                 passed = False
-                d = abs(complex(a) - complex(b))
-            else:
-                if not (scalars.is_exact(a) and scalars.is_exact(b)):
-                    exact = False
-                if not scalars.eq(a, b, tol):
-                    passed = False
-                d = abs(scalars.to_complex(a) - scalars.to_complex(b))
+            d = abs(scalars.to_complex(a) - scalars.to_complex(b))
             if d > worst:
                 worst = d
     return IdentityCheck(passed=passed, exact=exact, max_discrepancy=worst,
