@@ -257,20 +257,54 @@ def _cmd_nonconvergence(args) -> int:
     return _finish(report, started)
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _commutant_window(spec: dict) -> Tuple[int, int]:
+    """The window of a commutant spec: a pair of ints or an 'a..b' string."""
+    window = spec["window"]
+    if isinstance(window, list) and len(window) == 2 and all(map(_is_int, window)):
+        return window[0], window[1]
+    if isinstance(window, str):
+        try:
+            return _parse_window(window)
+        except ValueError:
+            pass
+    raise ValueError(f"commutant spec: 'window' must be a pair of ints or 'a..b', got {window!r}")
+
+
 def _cmd_commutant(args) -> int:
     started = time.monotonic()
     spec = _load_json_arg(args.gens)
+    if not isinstance(spec, dict):
+        raise ValueError("commutant spec must be a JSON object")
+    for field in ("window", "particles", "exprs"):
+        if field not in spec:
+            raise ValueError(f"commutant spec: missing field {field!r}")
     case = Case.coerce(str(spec.get("case", "N")).upper())
-    lo, hi = spec["window"] if isinstance(spec["window"], list) else _parse_window(spec["window"])
+    lo, hi = _commutant_window(spec)
+    if not _is_int(spec["particles"]):
+        raise ValueError(f"commutant spec: 'particles' must be an int, got {spec['particles']!r}")
+    exprs = spec["exprs"]
+    if not (isinstance(exprs, list) and exprs and all(isinstance(e, str) for e in exprs)):
+        raise ValueError(f"commutant spec: 'exprs' must be a non-empty list of strings, got {exprs!r}")
+    expect = spec.get("expect")
+    if expect is not None and not _is_int(expect):
+        raise ValueError(f"commutant spec: 'expect' must be an int, got {expect!r}")
+    elements = [parse(e, case) for e in exprs]
+    for e, x in zip(exprs, elements):
+        if not x.is_exact():
+            raise ValueError(f"commutant spec: 'exprs' entry {e!r} has an inexact coefficient; "
+                             "the commutant needs exact entries")
     space = TruncSpace(case, lo, hi, spec["particles"])
     from .fock import evaluate
 
-    mats = [evaluate(space, parse(e, case)) for e in spec["exprs"]]
+    mats = [evaluate(space, x) for x in elements]
     dim, _basis = commutant_dim(mats)
     report = Report(suite="commutant",
                     config={"case": case.value, "window": [lo, hi],
                             "particles": spec["particles"], "exprs": spec["exprs"]})
-    expect = spec.get("expect")
     ok = True if expect is None else dim == expect
     report.add(Instance("dimension", ok, EXACT_ZERO if ok else abs(dim - (expect or 0)),
                         {"dim": dim, "expect": expect}))

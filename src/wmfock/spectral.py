@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -226,6 +227,15 @@ def commutant_dim(mats: Sequence[SparseMat]) -> Tuple[int, List[SparseMat]]:
 
     Matrices must share one square shape and have exact entries; the answer
     is a certificate, computed by exact elimination.
+
+    Each M (then each M*) contributes the equations (TM - MT)[r, c] = 0 in
+    row-major (r, c) order, over the unknowns T[r, k] at key r*n + k.  An
+    equation only meets column c and row r of M, so it is assembled from
+    M's nonzero entries grouped by column and by row, not from a dense loop
+    over k; a pair (r, c) whose column and row are both empty gives no
+    equation.  The two groups share at most the unknown T[r, c], which sums
+    M[c, c] - M[r, r]: natively when every entry is an int or Fraction, in
+    the scalar tower otherwise.
     """
     if not mats:
         raise ValueError("need at least one matrix")
@@ -235,20 +245,27 @@ def commutant_dim(mats: Sequence[SparseMat]) -> Tuple[int, List[SparseMat]]:
             raise ValueError("commutant needs square matrices of one shape")
         if not m.is_exact():
             raise TypeError("commutant_dim requires exact entries")
+    if all(type(v) is int or type(v) is Fraction
+           for m in mats for v in m.entries.values()):
+        add, neg, is_zero = operator.add, operator.neg, operator.not_
+    else:
+        add, neg, is_zero = scalars.add, scalars.neg, scalars.is_zero
     rows: List[Dict] = []
     for m in list(mats) + [m.adjoint() for m in mats]:
-        dense: Dict[Tuple[int, int], object] = m.entries
+        by_row: Dict[int, list] = {}
+        by_col: Dict[int, list] = {}
+        for (r, c), v in m.entries.items():
+            by_row.setdefault(r, []).append((c, v))
+            by_col.setdefault(c, []).append((r, v))
         for r in range(n):
+            m_row = by_row.get(r, ())
             for c in range(n):
-                row: Dict[int, object] = {}
-                for k in range(n):
-                    a = dense.get((k, c))
-                    if a is not None:
-                        row[r * n + k] = scalars.gadd(row.get(r * n + k, 0), a)
-                    b = dense.get((r, k))
-                    if b is not None:
-                        row[k * n + c] = scalars.gadd(row.get(k * n + c, 0), scalars.gneg(b))
-                row = {k: v for k, v in row.items() if not scalars.gis_zero(v)}
+                # (TM - MT)[r, c] = sum_k T[r, k] M[k, c] - M[r, k] T[k, c]
+                row = {r * n + k: a for k, a in by_col.get(c, ())}
+                for k, b in m_row:
+                    key = k * n + c
+                    row[key] = add(row.get(key, 0), neg(b))
+                row = {k: v for k, v in row.items() if not is_zero(v)}
                 if row:
                     rows.append(row)
     basis_vecs = nullspace(rows, range(n * n))

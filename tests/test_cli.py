@@ -237,3 +237,28 @@ def test_verify_reports_byte_identical(args, digest):
     assert code == 0, err.decode()
     masked = RUNTIME.sub(b'"runtimeMillis": X', out)
     assert hashlib.sha256(masked).hexdigest() == digest
+
+
+def test_commutant_report_byte_identical():
+    spec = json.dumps({"case": "N", "window": [1, 2], "particles": 4,
+                       "exprs": ["x(1)", "x(2)"]}, separators=(",", ":"))
+    code, out, err = run_cli("commutant", "--gens", spec)
+    assert code == 0, err.decode()
+    masked = RUNTIME.sub(b'"runtimeMillis": X', out)
+    assert hashlib.sha256(masked).hexdigest() == \
+        "4429c96bb26f1245c2d782ac45071cf6c3eb855d45de9fc40c1e6d6c820ba5ac"
+
+
+@pytest.mark.parametrize("spec, expected", [
+    ({"case": "N", "window": [1, 1], "particles": 1, "exprs": ["0.5*x(1)"]}, b"'exprs'"),
+    ({"case": "N", "window": [1, 1], "particles": 1, "exprs": "x(1)"}, b"'exprs'"),
+    ({"case": "N", "window": [1, 1], "exprs": ["x(1)"]}, b"missing field 'particles'"),
+    ({"case": "N", "window": [1, 1], "particles": 1, "exprs": ["x(1)"], "expect": "2"},
+     b"'expect'"),
+])
+def test_commutant_spec_faults_exit_2(spec, expected):
+    code, out, err = run_cli("commutant", "--gens", json.dumps(spec))
+    assert code == 2
+    assert out == b""
+    assert err.count(b"\n") == 1 and err.startswith(b"error:") and expected in err
+    assert b"Traceback" not in err

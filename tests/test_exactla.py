@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wmfock import scalars as sc
-from wmfock.exactla import Eliminator, nullspace, rank_of, solve_dim
+from wmfock.exactla import Eliminator, nullspace, rank_of
 
 
 def rows_of(matrix):
@@ -18,6 +18,7 @@ def rows_of(matrix):
 def test_rank_simple():
     assert rank_of(rows_of([[1, 2], [2, 4]])) == 1
     assert rank_of(rows_of([[1, 0], [0, 1]])) == 2
+    assert rank_of(rows_of([[1, 0, 0]])) == 1
     assert rank_of([]) == 0
     assert rank_of([{}]) == 0
 
@@ -66,9 +67,52 @@ def test_nullspace_vectors_annihilate_rows():
                 assert s == 0
 
 
-def test_solve_dim():
-    assert solve_dim(rows_of([[1, 0, 0]]), 3) == 2
-    assert solve_dim([], 4) == 4
+rationals = st.one_of(st.integers(min_value=-3, max_value=3),
+                     st.fractions(min_value=-2, max_value=2, max_denominator=3))
+
+
+def described(vectors):
+    return [[(k, repr(v), type(v)) for k, v in vec.items()] for vec in vectors]
+
+
+@given(st.lists(st.lists(rationals, min_size=3, max_size=3), min_size=1, max_size=4))
+@settings(max_examples=80, deadline=None)
+def test_native_and_tower_routes_agree(matrix):
+    rows = rows_of(matrix)
+    # a Gaussian factor forces every row through the scalar tower
+    i = sc.gaussian(0, 1)
+    tower_rows = [{j: sc.mul(v, i) for j, v in r.items()} for r in rows]
+    assert rank_of(rows) == rank_of(tower_rows)
+    basis = nullspace(rows, columns=range(3))
+    assert described(basis) == described(nullspace(tower_rows, columns=range(3)))
+    for v in basis:
+        for r in rows:
+            assert sum(c * v.get(j, 0) for j, c in r.items()) == 0
+    elim = Eliminator(reduce_full=True)
+    for r in rows:
+        elim.add_row(r)
+    for vec in basis + list(elim.pivots.values()):
+        for v in vec.values():
+            assert type(v) is int or (type(v) is Fraction and v.denominator != 1)
+
+
+def test_eliminator_switches_to_tower_at_first_gaussian_row(monkeypatch):
+    tower_adds = []
+    add = sc.add
+    monkeypatch.setattr(sc, "add", lambda a, b: tower_adds.append(1) or add(a, b))
+    i = sc.gaussian(0, 1)
+    rows = [{0: 1, 1: 2}, {0: Fraction(1, 2), 1: 3, 2: 1},
+            {0: i, 1: 1, 2: i, 3: 1}, {0: 2, 1: 4}]
+    e = Eliminator()
+    assert e.add_row(rows[0]) and e.add_row(rows[1])
+    assert not tower_adds  # rational rows: native arithmetic
+    assert e.add_row(rows[2])
+    after_gaussian = len(tower_adds)
+    assert after_gaussian > 0
+    assert not e.add_row(rows[3])  # a rational row after the switch stays in the tower
+    assert len(tower_adds) > after_gaussian
+    dense = np.array([[complex(r.get(j, 0)) for j in range(4)] for r in rows])
+    assert e.rank == np.linalg.matrix_rank(dense) == 3
 
 
 def test_eliminator_incremental():

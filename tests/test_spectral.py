@@ -1,12 +1,14 @@
 """Position moments, cyclicity polynomials, limits, commutants, reps."""
 
 import cmath
+import hashlib
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from wmfock import scalars
 from wmfock.expr import Case, parse
 from wmfock.fock import TruncSpace, build_generator, evaluate
 from wmfock.spectral import (Polynomial, RepSpec, build_direct_sum,
@@ -149,6 +151,37 @@ def test_commutant_monotone():
     d1, _ = commutant_dim([a1])
     d12, _ = commutant_dim([a1, a2])
     assert d12 <= d1
+
+
+def _basis_digest(basis):
+    data = repr([sorted((pos, repr(v)) for pos, v in m.entries.items()) for m in basis])
+    return hashlib.sha256(data.encode()).hexdigest()
+
+
+def _positions_n13x4():
+    space = TruncSpace("N", 1, 3, 4)
+    return [evaluate(space, parse(f"x({i})", "N")) for i in (1, 2, 3)]
+
+
+def _level_zero_gaussian():
+    phase = scalars.gaussian(Fraction(3, 5), Fraction(4, 5))
+    spec = RepSpec(0, phase, TruncSpace("N", 1, 3, 3))
+    return [rep_matrix(spec, i) for i in range(4)]
+
+
+@pytest.mark.parametrize("mats, dim, digest", [
+    # rational entries: elimination stays in native arithmetic
+    (_positions_n13x4, 2,
+     "ea8318e7ed22a552ff5c56f2556a9fc32a5c3163aecfa811040e90c005c735f3"),
+    # a Gaussian phase: elimination runs in the scalar tower
+    (_level_zero_gaussian, 1,
+     "0ae706a265a444fbf04cb9b20dbf67c4a24ea0d01f2d1e902378d85e71d8aa12"),
+])
+def test_commutant_basis_byte_identical(mats, dim, digest):
+    # sha256 of every basis entry's position and repr, as first recorded
+    got_dim, basis = commutant_dim(mats())
+    assert got_dim == dim
+    assert _basis_digest(basis) == digest
 
 
 def test_rep_matrix_frozen():
