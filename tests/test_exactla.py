@@ -67,6 +67,12 @@ def test_nullspace_vectors_annihilate_rows():
                 assert s == 0
 
 
+def test_solve_dim():
+    # dimension of the solution space, ncols - rank
+    assert len(nullspace(rows_of([[1, 0, 0]]), columns=range(3))) == 2
+    assert len(nullspace([], columns=range(4))) == 4
+
+
 rationals = st.one_of(st.integers(min_value=-3, max_value=3),
                      st.fractions(min_value=-2, max_value=2, max_denominator=3))
 
