@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -233,9 +232,10 @@ def commutant_dim(mats: Sequence[SparseMat]) -> Tuple[int, List[SparseMat]]:
     equation only meets column c and row r of M, so it is assembled from
     M's nonzero entries grouped by column and by row, not from a dense loop
     over k; a pair (r, c) whose column and row are both empty gives no
-    equation.  The two groups share at most the unknown T[r, c], which sums
-    M[c, c] - M[r, r]: natively when every entry is an int or Fraction, in
-    the scalar tower otherwise.
+    equation.  Entries of M are nonzero, and the keys r*n + k of the column
+    group are distinct, as are the keys k*n + c of the row group; the two
+    groups share at most the unknown T[r, c], whose coefficient
+    M[c, c] - M[r, r] is the one sum, dropped when it cancels.
     """
     if not mats:
         raise ValueError("need at least one matrix")
@@ -245,11 +245,6 @@ def commutant_dim(mats: Sequence[SparseMat]) -> Tuple[int, List[SparseMat]]:
             raise ValueError("commutant needs square matrices of one shape")
         if not m.is_exact():
             raise TypeError("commutant_dim requires exact entries")
-    if all(type(v) is int or type(v) is Fraction
-           for m in mats for v in m.entries.values()):
-        add, neg, is_zero = operator.add, operator.neg, operator.not_
-    else:
-        add, neg, is_zero = scalars.add, scalars.neg, scalars.is_zero
     rows: List[Dict] = []
     for m in list(mats) + [m.adjoint() for m in mats]:
         by_row: Dict[int, list] = {}
@@ -264,8 +259,14 @@ def commutant_dim(mats: Sequence[SparseMat]) -> Tuple[int, List[SparseMat]]:
                 row = {r * n + k: a for k, a in by_col.get(c, ())}
                 for k, b in m_row:
                     key = k * n + c
-                    row[key] = add(row.get(key, 0), neg(b))
-                row = {k: v for k, v in row.items() if not is_zero(v)}
+                    if key in row:
+                        s = scalars.sub(row[key], b)
+                        if scalars.is_zero(s):
+                            del row[key]
+                        else:
+                            row[key] = s
+                    else:
+                        row[key] = scalars.neg(b)
                 if row:
                     rows.append(row)
     basis_vecs = nullspace(rows, range(n * n))

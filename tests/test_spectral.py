@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from wmfock import scalars
 from wmfock.expr import Case, parse
-from wmfock.fock import TruncSpace, build_generator, evaluate
+from wmfock.fock import SparseMat, TruncSpace, build_generator, evaluate
 from wmfock.spectral import (Polynomial, RepSpec, build_direct_sum,
                              commutant_dim, decompose, limit_residual,
                              moment_sequence, poly_element, position_element,
@@ -169,6 +169,13 @@ def _level_zero_gaussian():
     return [rep_matrix(spec, i) for i in range(4)]
 
 
+def _rational_diagonal():
+    # M[r, r] - M[c, c] is a sum of Fractions, and cancels for r, c = 0, 2
+    return [SparseMat(3, 3, {(0, 0): Fraction(1, 2), (1, 1): Fraction(-1, 2),
+                             (2, 2): Fraction(1, 2), (0, 1): Fraction(1, 3),
+                             (1, 0): Fraction(1, 3)})]
+
+
 @pytest.mark.parametrize("mats, dim, digest", [
     # rational entries: elimination stays in native arithmetic
     (_positions_n13x4, 2,
@@ -176,6 +183,9 @@ def _level_zero_gaussian():
     # a Gaussian phase: elimination runs in the scalar tower
     (_level_zero_gaussian, 1,
      "0ae706a265a444fbf04cb9b20dbf67c4a24ea0d01f2d1e902378d85e71d8aa12"),
+    # rational diagonal entries: the one coefficient that is a sum
+    (_rational_diagonal, 3,
+     "2834c578919c4b6847c4e2d864e0c1631b8c6306a8d0258079bfeee7f92af55c"),
 ])
 def test_commutant_basis_byte_identical(mats, dim, digest):
     # sha256 of every basis entry's position and repr, as first recorded
