@@ -67,13 +67,19 @@ def _parse_tuple(text: str) -> Tuple[int, ...]:
 
 
 def _parse_scalar(text: str):
-    """Exact rational or p/q string for state parameters."""
-    if "/" in text:
-        return Fraction(text)
+    """The --t of states: an int, a p/q rational or a finite float."""
     try:
-        return int(text)
-    except ValueError:
-        return float(text)
+        if "/" in text:
+            return Fraction(text)
+        try:
+            return int(text)
+        except ValueError:
+            value = float(text)
+        if math.isfinite(value):
+            return value
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise ValueError(f"--t must be an integer, p/q or a finite number, got {text!r}")
 
 
 def _finish(report: Report, started: float, as_json: bool = True) -> int:
@@ -157,6 +163,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_moments(args) -> int:
     started = time.monotonic()
+    if args.max_order < 0:
+        raise ValueError(f"--max-order must be >= 0, got {args.max_order}")
     x = parse(args.expr, Case.coerce(args.case.upper()))
     seq = moment_sequence(x, args.max_order)
     if args.csv:
@@ -312,13 +320,40 @@ def _cmd_commutant(args) -> int:
 
 
 def _parse_phase(v):
-    if isinstance(v, dict):
-        re = Fraction(str(v.get("re", 0)))
-        im = Fraction(str(v.get("im", 0)))
-        return scalars.gaussian(re, im)
-    if isinstance(v, str):
-        return Fraction(v)
-    return v
+    """A component phase: a number, a 'p/q' string or an object {"re", "im"}."""
+    if isinstance(v, (int, float)) and not isinstance(v, bool):
+        return v
+    try:
+        if isinstance(v, dict):
+            return scalars.gaussian(Fraction(str(v.get("re", 0))), Fraction(str(v.get("im", 0))))
+        if isinstance(v, str):
+            return Fraction(v)
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise ValueError("reps spec: 'phase' must be a number, a 'p/q' string or an object "
+                     f"with 're' and 'im', got {v!r}")
+
+
+def _reps_components(spec: dict) -> List[Tuple[int, object, int]]:
+    """The (level, phase, mult) triples of a reps spec, after checking its shape."""
+    if not isinstance(spec, dict):
+        raise ValueError("reps spec must be a JSON object")
+    for field in ("d", "particles", "components"):
+        if field not in spec:
+            raise ValueError(f"reps spec: missing field {field!r}")
+    for field in ("d", "particles", "zeroDim"):
+        if field in spec and not _is_int(spec[field]):
+            raise ValueError(f"reps spec: {field!r} must be an int, got {spec[field]!r}")
+    comps = spec["components"]
+    if not (isinstance(comps, list)
+            and all(isinstance(c, dict) and "level" in c and "phase" in c for c in comps)):
+        raise ValueError("reps spec: 'components' must be a list of objects with 'level' "
+                         f"and 'phase', got {comps!r}")
+    for c in comps:
+        for field in ("level", "mult"):
+            if not _is_int(c.get(field, 1)):
+                raise ValueError(f"reps spec: component {field!r} must be an int, got {c[field]!r}")
+    return [(c["level"], _parse_phase(c["phase"]), c.get("mult", 1)) for c in comps]
 
 
 def _cmd_reps(args) -> int:
@@ -326,8 +361,7 @@ def _cmd_reps(args) -> int:
     if args.action != "decompose":
         raise ValueError(f"unknown reps action {args.action!r}")
     spec = _load_json_arg(args.spec)
-    comps = [(c["level"], _parse_phase(c["phase"]), c.get("mult", 1))
-             for c in spec["components"]]
+    comps = _reps_components(spec)
     gens, meta = build_direct_sum(spec["d"], spec["particles"], comps,
                                   zero_dim=spec.get("zeroDim", 0))
     result = decompose(gens)
@@ -337,7 +371,7 @@ def _cmd_reps(args) -> int:
                                           "mult": m} for l, p, m in comps],
                             "zeroDim": spec.get("zeroDim", 0), "dim": meta["dim"]})
     declared = sorted(
-        ((l, complex(scalars.to_complex(p)), m) for l, p, m in comps),
+        ((l, scalars.to_complex(p), m) for l, p, m in comps),
         key=lambda t: (t[0], t[1].real, t[1].imag))
     found = sorted(((c.level, c.phase, c.multiplicity) for c in result.components),
                    key=lambda t: (t[0], t[1].real, t[1].imag))

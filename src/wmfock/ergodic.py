@@ -119,19 +119,19 @@ def check_creator_sum_estimate(space: TruncSpace,
         for t, coeff in vec.items():
             out = creator_tuple(space, i, t)
             if out is not None:
-                img[out] = scalars.gadd(img.get(out, 0), coeff)
-        parts_sq = scalars.gadd(parts_sq, vector_norm_sq(img))
+                img[out] = scalars.add(img.get(out, 0), coeff)
+        parts_sq = scalars.demote(parts_sq + vector_norm_sq(img))
         in_sq = vector_norm_sq(vec)
         if float(in_sq) > float(max_in_sq):
             max_in_sq = in_sq
         for t, coeff in img.items():
-            s = scalars.gadd(total.get(t, 0), coeff)
-            if scalars.gis_zero(s):
+            s = scalars.add(total.get(t, 0), coeff)
+            if scalars.is_zero(s):
                 total.pop(t, None)
             else:
                 total[t] = s
     total_sq = vector_norm_sq(total)
-    bound_sq = scalars.gmul(len(indices), max_in_sq)
+    bound_sq = scalars.demote(len(indices) * max_in_sq)
     if scalars.is_exact(total_sq) and scalars.is_exact(parts_sq):
         orthogonal = total_sq == parts_sq
     else:
@@ -184,7 +184,7 @@ def check_nonconvergence(space: TruncSpace, n: int) -> NonconvergenceCheck:
     if diag_ok:
         for p, t in enumerate(space.basis):
             a = mat.entries.get((p, p), 0)
-            d = scalars.gadd(1 if p == vac else 0, scalars.gneg(a))
+            d = scalars.add(1 if p == vac else 0, scalars.neg(a))
             sq = Fraction(scalars.abs2(d))
             if sq > max_sq:
                 max_sq = sq
@@ -195,10 +195,10 @@ def check_nonconvergence(space: TruncSpace, n: int) -> NonconvergenceCheck:
             if t == (0,):
                 zero_entry = d
     witness_ok = witness == -1
-    vac_ok = vac_entry is not None and scalars.gis_zero(vac_entry)
+    vac_ok = vac_entry is not None and scalars.is_zero(vac_entry)
     norm_ok = max_sq == 1
     passed = diag_ok and witness_ok and vac_ok and norm_ok
-    strong = scalars.gneg(zero_entry) if zero_entry is not None else None
+    strong = scalars.neg(zero_entry) if zero_entry is not None else None
     return NonconvergenceCheck(n, diag_ok, vac_ok, witness, max_sq, strong, passed)
 
 
@@ -209,8 +209,8 @@ def omega_t(x: Element, t) -> scalars.Scalar:
     nf = normalize_z(x)
     beta = 0
     for coeff in nf.pairs.values():
-        beta = scalars.gadd(beta, coeff)
-    return scalars.gadd(nf.unit, scalars.gmul(t, beta))
+        beta = scalars.add(beta, coeff)
+    return scalars.add(nf.unit, scalars.mul(t, beta))
 
 
 @dataclass(frozen=True)
@@ -241,7 +241,7 @@ def vacuum_certificate(x: Element) -> float:
     """
     if x.case is Case.N:
         raise ValueError("certificate applies to the integer and anti-monotone cases")
-    if not scalars.gis_zero(x.unit):
+    if not scalars.is_zero(x.unit):
         raise ValueError("certificate expects an element with no unit part")
     idx = x.indices()
     if x.case is Case.Z:
@@ -254,8 +254,8 @@ def vacuum_certificate(x: Element) -> float:
     vac: Dict[BasisTuple, scalars.Scalar] = {(): 1}
     r1 = dict(vac)
     for t, coeff in apply_element_to_vector(space, x, vac).items():
-        s1 = scalars.gadd(r1.get(t, 0), scalars.gneg(coeff))
-        if scalars.gis_zero(s1):
+        s1 = scalars.add(r1.get(t, 0), scalars.neg(coeff))
+        if scalars.is_zero(s1):
             r1.pop(t, None)
         else:
             r1[t] = s1

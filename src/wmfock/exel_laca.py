@@ -19,12 +19,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .errors import FinitenessError
 from .expr import Case, Element
-from .fock import TruncSpace, verify_identity
+from .fock import TruncSpace
 from .reports import Instance, Report
+from .suites import run_identity
 
 
 class ELKind(Enum):
@@ -195,11 +197,7 @@ def verify_el_suite(
         },
     )
 
-    def run(iid: str, lhs: Element, rhs: Element) -> None:
-        chk = verify_identity(space, lhs, rhs, index_margin=s_margin, tol=tol)
-        report.add(Instance(iid, chk.passed, chk.discrepancy_json,
-                            {"columns": chk.columns_checked}))
-
+    run = partial(run_identity, report, space, s_margin, tol=tol)
     for i in universe:
         for j in universe:
             if i < j:

@@ -18,9 +18,10 @@ the tuple, and is part of the interface: matrix positions are stable.
 Spaces are lazy: constructing one never materializes the basis, and the
 dimension cap is enforced only when a basis listing is actually needed.
 Identity checks therefore run column by column on interior tuples and can
-use windows whose full dimension is far beyond the cap.  Each identity
-picks its arithmetic once: native column sums when every coefficient is
-an int or Fraction, the scalar tower otherwise.
+use windows whose full dimension is far beyond the cap.  Every column is
+built by column_action, whatever the coefficients: a lone coefficient is
+stored as it is, and coefficients meeting at one image are summed by the
+scalar layer.
 
 Interior contract: a word whose creator surplus is at most r maps the
 span of basis tuples with at most trunc - r particles exactly as the
@@ -33,9 +34,7 @@ the words involved, the tight sound choice.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -195,26 +194,28 @@ def word_image(space: TruncSpace, w: Word, t: BasisTuple) -> Optional[BasisTuple
     return out
 
 
-def _column(space: TruncSpace, x: Element, t: BasisTuple,
-            add, is_zero) -> Dict[BasisTuple, scalars.Scalar]:
+def column_action(space: TruncSpace, x: Element, t: BasisTuple) -> Dict[BasisTuple, scalars.Scalar]:
+    """The vector x e_t as a tuple-keyed dict (zero coefficients dropped).
+
+    A coefficient whose word is the only one to reach its image is stored as
+    it is; coefficients meeting at one image are summed with scalars.add.
+    """
     out: Dict[BasisTuple, scalars.Scalar] = {}
-    if not is_zero(x.unit):
+    if x.unit:
         out[t] = x.unit
     for w, c in x.terms.items():
         img = word_image(space, w, t)
         if img is None:
             continue
-        acc = add(out.get(img, 0), c)
-        if is_zero(acc):
-            out.pop(img, None)
+        if img in out:
+            acc = scalars.add(out[img], c)
+            if acc:
+                out[img] = acc
+            else:
+                del out[img]
         else:
-            out[img] = acc
+            out[img] = c
     return out
-
-
-def column_action(space: TruncSpace, x: Element, t: BasisTuple) -> Dict[BasisTuple, scalars.Scalar]:
-    """The vector x e_t as a tuple-keyed dict (zero coefficients dropped)."""
-    return _column(space, x, t, scalars.add, scalars.is_zero)
 
 
 def apply_element_to_vector(space: TruncSpace, x: Element,
@@ -234,10 +235,7 @@ def apply_element_to_vector(space: TruncSpace, x: Element,
 
 def vector_norm_sq(vec: Dict[BasisTuple, scalars.Scalar]):
     """Exact |vec|^2 when all entries are exact, float otherwise."""
-    total: scalars.Scalar = 0
-    for v in vec.values():
-        total = scalars.add(total, scalars.abs2(v))
-    return total
+    return scalars.demote(sum(scalars.abs2(v) for v in vec.values()))
 
 
 # --- sparse matrices -----------------------------------------------------------
@@ -253,7 +251,7 @@ class SparseMat:
         self.entries = {}
         if entries:
             for k, v in entries.items():
-                if not scalars.gis_zero(v):
+                if not scalars.is_zero(v):
                     self.entries[k] = v
 
     @classmethod
@@ -272,7 +270,7 @@ class SparseMat:
         self._require_shape(other)
         out = dict(self.entries)
         for k, v in other.entries.items():
-            out[k] = scalars.gadd(out.get(k, 0), v)
+            out[k] = scalars.add(out.get(k, 0), v)
         return SparseMat(self.n_rows, self.n_cols, out)
 
     def __sub__(self, other: "SparseMat") -> "SparseMat":
@@ -283,7 +281,7 @@ class SparseMat:
 
     def scale(self, s) -> "SparseMat":
         return SparseMat(self.n_rows, self.n_cols,
-                         {k: scalars.gmul(s, v) for k, v in self.entries.items()})
+                         {k: scalars.mul(s, v) for k, v in self.entries.items()})
 
     def __matmul__(self, other: "SparseMat") -> "SparseMat":
         if self.n_cols != other.n_rows:
@@ -295,12 +293,12 @@ class SparseMat:
         for (k, c), bv in other.entries.items():
             for r, av in by_col.get(k, ()):
                 key = (r, c)
-                out[key] = scalars.gadd(out.get(key, 0), scalars.gmul(av, bv))
+                out[key] = scalars.add(out.get(key, 0), scalars.mul(av, bv))
         return SparseMat(self.n_rows, other.n_cols, out)
 
     def adjoint(self) -> "SparseMat":
         return SparseMat(self.n_cols, self.n_rows,
-                         {(c, r): scalars.gconj(v) for (r, c), v in self.entries.items()})
+                         {(c, r): scalars.conj(v) for (r, c), v in self.entries.items()})
 
     def is_zero(self) -> bool:
         return not self.entries
@@ -324,7 +322,7 @@ class SparseMat:
                          self.n_cols if cols is None else len(cols), out)
 
     def max_abs_entry(self) -> float:
-        return max((scalars.gabs(v) for v in self.entries.values()), default=0.0)
+        return max((scalars.abs_value(v) for v in self.entries.values()), default=0.0)
 
     def to_dense(self, z: Optional[complex] = None) -> np.ndarray:
         out = np.zeros((self.n_rows, self.n_cols), dtype=complex)
@@ -390,23 +388,17 @@ class IdentityCheck:
         return self.max_discrepancy
 
 
-def _is_rational(s) -> bool:
-    return isinstance(s, (int, Fraction)) and not isinstance(s, bool)
-
-
 def verify_identity(space: TruncSpace, lhs: Element, rhs: Element,
                     margin: Optional[int] = None, index_margin: int = 0,
                     tol: float = scalars.DEFAULT_TOL) -> IdentityCheck:
     """Compare lhs and rhs column by column on interior tuples.
 
-    The arithmetic is chosen once per identity, before the column loop.
-    When every unit and coefficient on both sides is an int or Fraction,
-    columns are summed with native + and equal columns are skipped with a
-    single ==; otherwise they are summed in the scalar tower.  Entries of
-    differing columns are compared in the scalar tower either way: exact
-    scalars compare exactly, and once a float or complex coefficient is
-    involved the comparison is |diff| <= tol.  Word images are recomputed
-    for every column; no memo is kept.
+    Columns come from column_action.  When every unit and coefficient on
+    both sides is exact, equal columns are skipped with a single ==.  The
+    entries of other columns are compared one by one: exact scalars compare
+    exactly, and once a float or complex value is involved the comparison
+    is |diff| <= tol.  Word images are recomputed for every column; no memo
+    is kept.
 
     The margin defaults to the max creator surplus of the words on either
     side, which is the least margin for which truncated and untruncated
@@ -416,21 +408,18 @@ def verify_identity(space: TruncSpace, lhs: Element, rhs: Element,
     space.check_indices(rhs)
     if margin is None:
         margin = max(lhs.max_surplus(), rhs.max_surplus())
-    native = all(_is_rational(c) for x in (lhs, rhs)
-                 for c in (x.unit, *x.terms.values()))
-    if native:
-        add, is_zero = operator.add, operator.not_
-    else:
-        add, is_zero = scalars.add, scalars.is_zero
+    # exact coefficients give exact entries, so skipping equal columns
+    # cannot hide an inexact one from the exact flag
+    skip_equal = lhs.is_exact() and rhs.is_exact()
     passed = True
     exact = True
     worst = 0.0
     count = 0
     for t in interior_tuples(space, margin, index_margin):
         count += 1
-        va = _column(space, lhs, t, add, is_zero)
-        vb = _column(space, rhs, t, add, is_zero)
-        if native and va == vb:
+        va = column_action(space, lhs, t)
+        vb = column_action(space, rhs, t)
+        if skip_equal and va == vb:
             continue
         for key in va.keys() | vb.keys():
             a = va.get(key, 0)

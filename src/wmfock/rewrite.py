@@ -432,8 +432,8 @@ def _n_rep_apply(x: Element, col: tuple, trunc: int):
     out: dict = {}
 
     def put(t, c):
-        acc = scalars.gadd(out.get(t, 0), c)
-        if scalars.gis_zero(acc):
+        acc = scalars.add(out.get(t, 0), c)
+        if scalars.is_zero(acc):
             out.pop(t, None)
         else:
             out[t] = acc
@@ -449,7 +449,7 @@ def _n_rep_apply(x: Element, col: tuple, trunc: int):
                 if t:
                     dead = True
                     break
-                c = scalars.gmul(c, scalars.LaurentZ({1 if dag else -1: 1}))
+                c = scalars.mul(c, scalars.LaurentZ({1 if dag else -1: 1}))
             elif dag:
                 if (t and i < t[0]) or len(t) >= trunc:
                     dead = True
@@ -492,7 +492,7 @@ def equal_n(x: Element, y: Element, tol: float = scalars.DEFAULT_TOL) -> bool:
         ax = _n_rep_apply(x, col, trunc)
         ay = _n_rep_apply(y, col, trunc)
         for t in set(ax) | set(ay):
-            if not scalars.geq(ax.get(t, 0), ay.get(t, 0), tol):
+            if not scalars.eq(ax.get(t, 0), ay.get(t, 0), tol):
                 evals_agree = False
                 break
         if not evals_agree:

@@ -1,4 +1,4 @@
-"""Scalar arithmetic for operator coefficients.
+"""Scalar arithmetic for operator coefficients: the package's one arithmetic layer.
 
 Coefficients live in a small tower:
 
@@ -9,8 +9,19 @@ Coefficients live in a small tower:
 plus ``LaurentZ``, Laurent polynomials in a formal unimodular variable z
 (so conj(z^k) = z^-k), used for gauge-parametric representation entries.
 
-Exactness propagates: any operation that touches a float or complex value
-produces an inexact result.  Equality between inexact values is decided
+GaussianRational and LaurentZ carry operator methods, so ``+ - * /`` and
+truth testing work natively on int, Fraction and GaussianRational (native
+``int / int`` is still a float: divide from a Fraction, or with div()).  A
+GaussianRational result demotes to int or Fraction when its imaginary part
+is 0, and contact with a float or complex gives a complex.
+
+The free functions add, sub, neg, mul, div, conj, is_zero, eq and abs_value
+are these operators plus the tower's normal form, and all but div accept
+LaurentZ too.  On exact inputs add, sub, mul and div give exact outputs,
+with a Fraction of denominator 1 returned as an int; a float or complex
+operand makes their result complex, since both operands are taken to
+complex before the operator runs.  neg keeps its operand's type, and conj
+makes only floats complex.  Equality between inexact values is decided
 with an absolute tolerance (default 1e-12).
 """
 
@@ -22,6 +33,9 @@ from fractions import Fraction
 from typing import Union
 
 DEFAULT_TOL = 1e-12
+
+_RATIONAL = (int, Fraction)
+_INEXACT = (float, complex)
 
 
 @dataclass(frozen=True)
@@ -38,8 +52,63 @@ class GaussianRational:
     def __complex__(self) -> complex:
         return complex(float(self.re), float(self.im))
 
+    def __bool__(self) -> bool:
+        return bool(self.re or self.im)
+
     def conjugate(self) -> "GaussianRational":
         return GaussianRational(self.re, -self.im)
+
+    def __neg__(self) -> "GaussianRational":
+        return GaussianRational(-self.re, -self.im)
+
+    def __add__(self, other):
+        if isinstance(other, GaussianRational):
+            return gaussian(self.re + other.re, self.im + other.im)
+        if isinstance(other, _RATIONAL):
+            return gaussian(self.re + other, self.im)
+        if isinstance(other, _INEXACT):
+            return complex(self) + complex(other)
+        return NotImplemented
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        if isinstance(other, (GaussianRational,) + _RATIONAL + _INEXACT):
+            return self + (-other)
+        return NotImplemented
+
+    def __rsub__(self, other):
+        return (-self).__add__(other)
+
+    def __mul__(self, other):
+        if isinstance(other, GaussianRational):
+            return gaussian(self.re * other.re - self.im * other.im,
+                            self.re * other.im + self.im * other.re)
+        if isinstance(other, _RATIONAL):
+            return gaussian(self.re * other, self.im * other)
+        if isinstance(other, _INEXACT):
+            return complex(self) * complex(other)
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if isinstance(other, GaussianRational):
+            return self * other.__rtruediv__(1)
+        if isinstance(other, _RATIONAL):
+            return self * Fraction(1, other)
+        if isinstance(other, _INEXACT):
+            return complex(self) / complex(other)
+        return NotImplemented
+
+    def __rtruediv__(self, other):
+        if isinstance(other, _RATIONAL):
+            # a Fraction divisor keeps the quotient exact for int parts too
+            d = Fraction(self.re * self.re + self.im * self.im)
+            return gaussian(other * self.re / d, -other * self.im / d)
+        if isinstance(other, _INEXACT):
+            return complex(other) / complex(self)
+        return NotImplemented
 
     def __repr__(self) -> str:
         return f"GaussianRational({self.re}, {self.im})"
@@ -53,102 +122,95 @@ def gaussian(re, im) -> Scalar:
     re = Fraction(re)
     im = Fraction(im)
     if im == 0:
-        return _demote(re)
+        return demote(re)
     return GaussianRational(re, im)
 
 
-def _demote(q: Fraction) -> Scalar:
-    return int(q) if q.denominator == 1 else q
+def demote(s):
+    """A Fraction with denominator 1 as its int; any other value unchanged."""
+    return s.numerator if type(s) is Fraction and s.denominator == 1 else s
 
 
 def is_exact(s: Scalar) -> bool:
     return isinstance(s, (int, Fraction, GaussianRational)) and not isinstance(s, bool)
 
 
-def is_zero(s: Scalar) -> bool:
-    if isinstance(s, GaussianRational):
-        return s.re == 0 and s.im == 0
-    return s == 0
+def is_zero(s) -> bool:
+    return not s
 
 
 def to_complex(s: Scalar) -> complex:
-    if isinstance(s, GaussianRational):
-        return complex(s)
     return complex(s)
 
 
-def _parts(s: Scalar):
-    # (re, im) as Fractions; only valid for exact scalars
-    if isinstance(s, GaussianRational):
-        return s.re, s.im
-    return Fraction(s), Fraction(0)
+def _operands(a, b):
+    # on float or complex contact both operands go to complex, so the
+    # operator runs in complex arithmetic whatever mix came in
+    if isinstance(a, LaurentZ) or isinstance(b, LaurentZ) or (is_exact(a) and is_exact(b)):
+        return a, b
+    return complex(a), complex(b)
 
 
-def add(a: Scalar, b: Scalar) -> Scalar:
-    if is_exact(a) and is_exact(b):
-        ar, ai = _parts(a)
-        br, bi = _parts(b)
-        return gaussian(ar + br, ai + bi)
-    return to_complex(a) + to_complex(b)
+def add(a, b):
+    a, b = _operands(a, b)
+    return demote(a + b)
 
 
-def neg(a: Scalar) -> Scalar:
-    if isinstance(a, GaussianRational):
-        return GaussianRational(-a.re, -a.im)
+def neg(a):
     return -a
 
 
-def sub(a: Scalar, b: Scalar) -> Scalar:
-    return add(a, neg(b))
+def sub(a, b):
+    return add(a, -b)
 
 
-def mul(a: Scalar, b: Scalar) -> Scalar:
-    if is_exact(a) and is_exact(b):
-        ar, ai = _parts(a)
-        br, bi = _parts(b)
-        return gaussian(ar * br - ai * bi, ar * bi + ai * br)
-    return to_complex(a) * to_complex(b)
+def mul(a, b):
+    a, b = _operands(a, b)
+    return demote(a * b)
 
 
 def div(a: Scalar, b: Scalar) -> Scalar:
-    if is_exact(a) and is_exact(b):
-        br, bi = _parts(b)
-        d = br * br + bi * bi
-        if d == 0:
-            raise ZeroDivisionError("scalar division by zero")
-        ar, ai = _parts(a)
-        return gaussian((ar * br + ai * bi) / d, (ai * br - ar * bi) / d)
-    return to_complex(a) / to_complex(b)
+    a, b = _operands(a, b)
+    if not b:
+        raise ZeroDivisionError("scalar division by zero")
+    if isinstance(a, int):
+        a = Fraction(a)
+    return demote(a / b)
 
 
-def conj(a: Scalar) -> Scalar:
-    if isinstance(a, GaussianRational):
-        return a.conjugate()
-    if isinstance(a, (int, Fraction)):
+def conj(a):
+    if isinstance(a, _RATIONAL):
         return a
-    return to_complex(a).conjugate()
+    if isinstance(a, _INEXACT):
+        return complex(a).conjugate()
+    return a.conjugate()
 
 
 def abs2(a: Scalar) -> Scalar:
     """|a|^2, exact (Fraction/int) for exact input."""
     if is_exact(a):
-        ar, ai = _parts(a)
-        return _demote(ar * ar + ai * ai)
-    z = to_complex(a)
+        return demote(a * conj(a))
+    z = complex(a)
     return z.real * z.real + z.imag * z.imag
 
 
-def abs_value(a: Scalar) -> float:
+def abs_value(a) -> float:
+    """|a| as a float; a LaurentZ measures as the sum of its coefficients' moduli."""
+    if isinstance(a, LaurentZ):
+        return sum(abs_value(v) for v in a.coeffs.values())
     return math.sqrt(float(abs2(a)))
 
 
-def eq(a: Scalar, b: Scalar, tol: float = DEFAULT_TOL) -> bool:
-    """Exact equality when both sides are exact, |a-b| <= tol otherwise."""
+def eq(a, b, tol: float = DEFAULT_TOL) -> bool:
+    """Exact equality when both sides are exact, |a-b| <= tol otherwise.
+
+    LaurentZ values compare coefficient by coefficient.
+    """
+    if isinstance(a, LaurentZ) or isinstance(b, LaurentZ):
+        return all(eq(v, 0, tol) for v in (a - b).coeffs.values())
     if is_exact(a) and is_exact(b):
-        ar, ai = _parts(a)
-        br, bi = _parts(b)
-        return ar == br and ai == bi
-    return abs(to_complex(a) - to_complex(b)) <= tol
+        return a == b
+    return abs(complex(a) - complex(b)) <= tol
 
 
 def to_text(s: Scalar) -> str:
@@ -162,8 +224,8 @@ def to_text(s: Scalar) -> str:
             return str(s.numerator)
         return f"{s.numerator}/{s.denominator}"
     if isinstance(s, GaussianRational):
-        re_txt = to_text(_demote(s.re))
-        im_txt = to_text(_demote(abs(s.im)))
+        re_txt = to_text(demote(s.re))
+        im_txt = to_text(demote(abs(s.im)))
         sign = "+" if s.im >= 0 else "-"
         return f"({re_txt}{sign}{im_txt}i)"
     if isinstance(s, float):
@@ -183,7 +245,7 @@ def to_json(s: Scalar):
             return s.numerator
         return f"{s.numerator}/{s.denominator}"
     if isinstance(s, GaussianRational):
-        return {"re": to_json(_demote(s.re)), "im": to_json(_demote(s.im))}
+        return {"re": to_json(demote(s.re)), "im": to_json(demote(s.im))}
     if isinstance(s, float):
         return s
     if isinstance(s, complex):
@@ -218,6 +280,9 @@ class LaurentZ:
     def is_zero(self) -> bool:
         return not self.coeffs
 
+    def __bool__(self) -> bool:
+        return bool(self.coeffs)
+
     def __add__(self, other):
         other = _as_laurent(other)
         out = dict(self.coeffs)
@@ -225,7 +290,8 @@ class LaurentZ:
             out[k] = add(out.get(k, 0), v)
         return LaurentZ(out)
 
-    __radd__ = __add__
+    def __radd__(self, other):
+        return _as_laurent(other) + self
 
     def __neg__(self):
         return LaurentZ({k: neg(v) for k, v in self.coeffs.items()})
@@ -245,7 +311,8 @@ class LaurentZ:
                 out[k] = add(out.get(k, 0), mul(v1, v2))
         return LaurentZ(out)
 
-    __rmul__ = __mul__
+    def __rmul__(self, other):
+        return _as_laurent(other) * self
 
     def conjugate(self) -> "LaurentZ":
         return LaurentZ({-k: conj(v) for k, v in self.coeffs.items()})
@@ -283,53 +350,3 @@ def _as_laurent(x) -> LaurentZ:
     if isinstance(x, LaurentZ):
         return x
     return LaurentZ({0: x})
-
-
-# --- generic operations that also accept LaurentZ values -----------------
-
-def gadd(a, b):
-    if isinstance(a, LaurentZ) or isinstance(b, LaurentZ):
-        return _as_laurent(a) + _as_laurent(b)
-    return add(a, b)
-
-
-def gmul(a, b):
-    if isinstance(a, LaurentZ) or isinstance(b, LaurentZ):
-        return _as_laurent(a) * _as_laurent(b)
-    return mul(a, b)
-
-
-def gneg(a):
-    if isinstance(a, LaurentZ):
-        return -a
-    return neg(a)
-
-
-def gconj(a):
-    if isinstance(a, LaurentZ):
-        return a.conjugate()
-    return conj(a)
-
-
-def gis_zero(a) -> bool:
-    if isinstance(a, LaurentZ):
-        return a.is_zero()
-    return is_zero(a)
-
-
-def geq(a, b, tol: float = DEFAULT_TOL) -> bool:
-    if isinstance(a, LaurentZ) or isinstance(b, LaurentZ):
-        a = _as_laurent(a)
-        b = _as_laurent(b)
-        for k in set(a.coeffs) | set(b.coeffs):
-            if not eq(a.coeffs.get(k, 0), b.coeffs.get(k, 0), tol):
-                return False
-        return True
-    return eq(a, b, tol)
-
-
-def gabs(a) -> float:
-    """Crude magnitude for discrepancy reporting; Laurent uses coeff sum."""
-    if isinstance(a, LaurentZ):
-        return sum(abs_value(v) for v in a.coeffs.values())
-    return abs_value(a)

@@ -113,7 +113,7 @@ def vacuum_moment(x: Element, order: int):
     if not idx:
         u = 1
         for _ in range(order):
-            u = scalars.gmul(u, x.unit)
+            u = scalars.mul(u, x.unit)
         return u
     lo, hi = min(idx), max(idx)
     if x.case is not Case.Z:
@@ -164,7 +164,7 @@ def verify_qn(space: TruncSpace, i: int, n_max: int,
 
 def _vectors_equal_exact(a: Dict, b: Dict) -> bool:
     for t in set(a) | set(b):
-        if not scalars.gis_zero(scalars.gadd(a.get(t, 0), scalars.gneg(b.get(t, 0)))):
+        if not scalars.is_zero(scalars.add(a.get(t, 0), scalars.neg(b.get(t, 0)))):
             return False
     return True
 
@@ -172,7 +172,7 @@ def _vectors_equal_exact(a: Dict, b: Dict) -> bool:
 def _vector_diff(a: Dict, b: Dict) -> float:
     diff = dict(a)
     for t, v in b.items():
-        diff[t] = scalars.gadd(diff.get(t, 0), scalars.gneg(v))
+        diff[t] = scalars.add(diff.get(t, 0), scalars.neg(v))
     return math.sqrt(float(vector_norm_sq(diff)))
 
 
@@ -202,17 +202,17 @@ def limit_residual(space: TruncSpace, n_window: int, xi: BasisTuple) -> float:
         sq = position_element(Case.Z, i)
         img = apply_element_to_vector(space, sq * sq, start)
         for t, v in img.items():
-            s = scalars.gadd(acc.get(t, 0), v)
-            if scalars.gis_zero(s):
+            s = scalars.add(acc.get(t, 0), v)
+            if scalars.is_zero(s):
                 acc.pop(t, None)
             else:
                 acc[t] = s
     scale = Fraction(1, count)
-    resid: Dict[BasisTuple, scalars.Scalar] = {t: scalars.gmul(scale, v) for t, v in acc.items()}
+    resid: Dict[BasisTuple, scalars.Scalar] = {t: scalars.mul(scale, v) for t, v in acc.items()}
     # subtract T xi = (1 if vacuum else 1/2) xi
     w = 1 if xi == () else Fraction(1, 2)
-    s = scalars.gadd(resid.get(xi, 0), scalars.gneg(w))
-    if scalars.gis_zero(s):
+    s = scalars.add(resid.get(xi, 0), scalars.neg(w))
+    if scalars.is_zero(s):
         resid.pop(xi, None)
     else:
         resid[xi] = s
@@ -392,9 +392,9 @@ def verify_rep(spec: RepSpec, max_index: int) -> Report:
 
 def _monomial_degree(v) -> Optional[int]:
     if isinstance(v, scalars.LaurentZ):
-        nz = [k for k, c in v.coeffs.items() if not scalars.gis_zero(c)]
+        nz = [k for k, c in v.coeffs.items() if not scalars.is_zero(c)]
         return nz[0] if len(nz) == 1 else None
-    return 0 if not scalars.gis_zero(v) else None
+    return 0 if not scalars.is_zero(v) else None
 
 
 # --- direct sums and their decomposition ------------------------------------

@@ -9,6 +9,8 @@ feature is that the lowest-index creator is a co-isometry.
 
 from __future__ import annotations
 
+from functools import partial
+
 from .expr import Case, Element
 from .fock import TruncSpace, verify_identity
 from .reports import Instance, Report
@@ -18,9 +20,10 @@ def _w(case: Case, *letters) -> Element:
     return Element.word(case, tuple(letters))
 
 
-def _run(report: Report, space: TruncSpace, s_margin: int,
-         iid: str, lhs: Element, rhs: Element, tol: float) -> None:
-    chk = verify_identity(space, lhs, rhs, index_margin=s_margin, tol=tol)
+def run_identity(report: Report, space: TruncSpace, index_margin: int,
+                 iid: str, lhs: Element, rhs: Element, tol: float) -> None:
+    """Check lhs = rhs on the interior columns of space; add the verdict to report."""
+    chk = verify_identity(space, lhs, rhs, index_margin=index_margin, tol=tol)
     report.add(Instance(iid, chk.passed, chk.discrepancy_json,
                         {"columns": chk.columns_checked}))
 
@@ -43,24 +46,20 @@ def relations_z_suite(space: TruncSpace, depth: int = 2,
                     config={"window": [space.lo, space.hi],
                             "particles": space.trunc,
                             "letters": [lo, hi]})
+    run = partial(run_identity, report, space, depth, tol=tol)
     idx = range(lo, hi + 1)
     for i in idx:
         for j in idx:
             if i != j:
-                _run(report, space, depth, f"annihilate-create[{i},{j}]",
-                     _w(Z, (i, False), (j, True)), Element.zero(Z), tol)
+                run(f"annihilate-create[{i},{j}]", _w(Z, (i, False), (j, True)), Element.zero(Z))
             if i < j:
-                _run(report, space, depth, f"creator-order[{i},{j}]",
-                     _w(Z, (i, True), (j, True)), Element.zero(Z), tol)
-                _run(report, space, depth, f"annihilator-order[{j},{i}]",
-                     _w(Z, (j, False), (i, False)), Element.zero(Z), tol)
-            _run(report, space, depth, f"absorb[{i},{j}]",
-                 _w(Z, (i, False), (i, True), (j, True)),
-                 _w(Z, (j, True)).scale(1 if i >= j else 0), tol)
+                run(f"creator-order[{i},{j}]", _w(Z, (i, True), (j, True)), Element.zero(Z))
+                run(f"annihilator-order[{j},{i}]", _w(Z, (j, False), (i, False)), Element.zero(Z))
+            run(f"absorb[{i},{j}]", _w(Z, (i, False), (i, True), (j, True)),
+                _w(Z, (j, True)).scale(1 if i >= j else 0))
     for i in range(lo + 1, hi + 1):
-        _run(report, space, depth, f"ladder[{i}]",
-             _w(Z, (i, False), (i, True)),
-             _w(Z, (i - 1, False), (i - 1, True)) + _w(Z, (i, True), (i, False)), tol)
+        run(f"ladder[{i}]", _w(Z, (i, False), (i, True)),
+            _w(Z, (i - 1, False), (i - 1, True)) + _w(Z, (i, True), (i, False)))
     return report
 
 
@@ -77,17 +76,14 @@ def anti_suite(space: TruncSpace, tol: float = 1e-12) -> Report:
     report = Report(suite="anti",
                     config={"window": [space.lo, space.hi],
                             "particles": space.trunc})
-    _run(report, space, 0, "co-isometry[1]",
-         _w(A, (1, False), (1, True)), Element.one(A), tol)
+    run = partial(run_identity, report, space, 0, tol=tol)
+    run("co-isometry[1]", _w(A, (1, False), (1, True)), Element.one(A))
     idx = range(space.lo, space.hi + 1)
     for i in idx:
         for j in idx:
             if i != j:
-                _run(report, space, 0, f"annihilate-create[{i},{j}]",
-                     _w(A, (i, False), (j, True)), Element.zero(A), tol)
+                run(f"annihilate-create[{i},{j}]", _w(A, (i, False), (j, True)), Element.zero(A))
             if i > j:
-                _run(report, space, 0, f"creator-order[{i},{j}]",
-                     _w(A, (i, True), (j, True)), Element.zero(A), tol)
-        _run(report, space, 0, f"partial-isometry[{i}]",
-             _w(A, (i, True), (i, False), (i, True)), _w(A, (i, True)), tol)
+                run(f"creator-order[{i},{j}]", _w(A, (i, True), (j, True)), Element.zero(A))
+        run(f"partial-isometry[{i}]", _w(A, (i, True), (i, False), (i, True)), _w(A, (i, True)))
     return report

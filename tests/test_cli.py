@@ -262,3 +262,29 @@ def test_commutant_spec_faults_exit_2(spec, expected):
     assert out == b""
     assert err.count(b"\n") == 1 and err.startswith(b"error:") and expected in err
     assert b"Traceback" not in err
+
+
+def test_certificate_float_coefficient():
+    rep = run_json("certificate", "--expr", "0.5*a(1)c(1)")
+    inst = rep["instances"][0]
+    assert inst["pass"] is True and inst["discrepancy"] == 0.5
+
+
+@pytest.mark.parametrize("args, expected", [
+    (("states", "--expr", "c(1)", "--t", "1/0"), b"--t"),
+    (("states", "--expr", "c(1)", "--t", "nan"), b"--t"),
+    (("moments", "--expr", "x(1)", "--max-order", "-1"), b"--max-order"),
+    (("reps", "decompose", "--spec", '{"d":3,"particles":3,"components":"x"}'),
+     b"'components'"),
+    (("reps", "decompose", "--spec", '{"d":3,"components":[]}'),
+     b"missing field 'particles'"),
+    (("reps", "decompose", "--spec",
+      '{"d":3,"particles":3,"components":[{"level":"0","phase":1}]}'), b"'level'"),
+    (("reps", "decompose", "--spec",
+      '{"d":3,"particles":3,"components":[{"level":0,"phase":[1]}]}'), b"'phase'"),
+])
+def test_numeric_and_spec_faults_exit_2(args, expected):
+    code, out, err = run_cli(*args)
+    assert code == 2
+    assert out == b""
+    assert err.count(b"\n") == 1 and err.startswith(b"error:") and expected in err

@@ -162,6 +162,15 @@ def test_certificate_frozen():
     assert vacuum_certificate(parse("1/2 a(0)c(0)", "Z")) == 0.5
 
 
+def test_float_coefficients_give_real_norms():
+    # squared norms of inexact vectors are real floats, so float() accepts them
+    assert vacuum_certificate(parse("0.5*a(1)c(1)", "Z")) == 0.5
+    space = TruncSpace("N", 1, 4, 3)
+    chk = check_creator_sum_estimate(space, [{(1,): 0.5, (2,): 1}, {(1,): 0.25j}], [2, 3])
+    assert chk.passed
+    assert (chk.total_sq, chk.parts_sq, chk.bound_sq) == (1.3125, 1.3125, 2.5)
+
+
 def test_certificate_rejects_unital():
     with pytest.raises(ValueError):
         vacuum_certificate(parse("I + c(0)", "Z"))

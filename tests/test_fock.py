@@ -316,6 +316,12 @@ def test_vector_norm_sq_exact():
     assert vector_norm_sq(v) == 1
 
 
+def test_vector_norm_sq_inexact_is_a_real_float():
+    v = {(1,): 0.5, (2,): 1j, (3,): Fraction(1, 2)}
+    total = vector_norm_sq(v)
+    assert type(total) is float and total == 1.5
+
+
 def test_enumerate_basis_cap():
     with pytest.raises(ValueError):
         enumerate_basis("Z", -30, 30, 6, cap=1000)

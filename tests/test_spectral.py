@@ -177,10 +177,10 @@ def _rational_diagonal():
 
 
 @pytest.mark.parametrize("mats, dim, digest", [
-    # rational entries: elimination stays in native arithmetic
+    # rational entries
     (_positions_n13x4, 2,
      "ea8318e7ed22a552ff5c56f2556a9fc32a5c3163aecfa811040e90c005c735f3"),
-    # a Gaussian phase: elimination runs in the scalar tower
+    # a Gaussian phase
     (_level_zero_gaussian, 1,
      "0ae706a265a444fbf04cb9b20dbf67c4a24ea0d01f2d1e902378d85e71d8aa12"),
     # rational diagonal entries: the one coefficient that is a sum
