@@ -3,11 +3,15 @@
 Every subcommand prints one JSON report to stdout (or CSV where a sweep is
 more natural).  Exit codes: 0 all checks passed, 1 a verification failed,
 2 usage or input error, 3 internal cross-check disagreement.
+
+``main`` can be called again in the same process: every call shares one
+argument parser, built on the first call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -398,7 +402,12 @@ def _load_json_arg(text: str) -> dict:
         return json.load(fh)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser of ``main``, built once per process.
+
+    Callers share the returned parser and must not change it.
+    """
     p = argparse.ArgumentParser(prog="wmfock",
                                 description="symbolic and numeric workbench "
                                             "for weakly monotone operator families")
@@ -408,7 +417,6 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--case", choices=["z", "n"], required=True)
     q.add_argument("--expr", required=True)
     q.add_argument("--show-steps", action="store_true")
-    q.set_defaults(func=_cmd_rewrite)
 
     q = sub.add_parser("verify", help="run a verification suite")
     q.add_argument("--suite", required=True,
@@ -422,48 +430,39 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--family", help="JSON file with explicit X/Y pairs")
     q.add_argument("--levels", default="0,1,2", help="rep levels, comma separated")
     q.add_argument("--max-index", type=int, default=None)
-    q.set_defaults(func=_cmd_verify)
 
     q = sub.add_parser("moments", help="vacuum moments of an expression")
     q.add_argument("--expr", required=True)
     q.add_argument("--case", default="z", choices=["z", "n", "anti"])
     q.add_argument("--max-order", type=int, required=True)
     q.add_argument("--csv", action="store_true")
-    q.set_defaults(func=_cmd_moments)
 
     q = sub.add_parser("cesaro", help="Cesaro average contraction bound")
     q.add_argument("--word", required=True)
     q.add_argument("--n", type=int, required=True)
-    q.set_defaults(func=_cmd_cesaro)
 
     q = sub.add_parser("limit", help="averaged squared-position residual")
     q.add_argument("--N", required=True, help="half-width, or comma list")
     q.add_argument("--vector", default="", help="basis tuple i1,i2,...")
     q.add_argument("--csv", action="store_true")
-    q.set_defaults(func=_cmd_limit)
 
     q = sub.add_parser("states", help="omega_t value and fixed-point check")
     q.add_argument("--expr", required=True)
     q.add_argument("--t", required=True)
-    q.set_defaults(func=_cmd_states)
 
     q = sub.add_parser("certificate", help="vacuum-distance certificate")
     q.add_argument("--expr", required=True)
     q.add_argument("--case", default="z", choices=["z", "anti"])
-    q.set_defaults(func=_cmd_certificate)
 
     q = sub.add_parser("nonconvergence", help="norm-one witness for shifted averages")
     q.add_argument("--n", type=int, required=True)
-    q.set_defaults(func=_cmd_nonconvergence)
 
     q = sub.add_parser("commutant", help="exact commutant dimension")
     q.add_argument("--gens", required=True, help="JSON file or inline JSON")
-    q.set_defaults(func=_cmd_commutant)
 
     q = sub.add_parser("reps", help="representation tooling")
     q.add_argument("action", choices=["decompose"])
     q.add_argument("--spec", required=True, help="JSON file or inline JSON")
-    q.set_defaults(func=_cmd_reps)
 
     return p
 
@@ -489,8 +488,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = parser.parse_args(_join_window_values(list(argv)))
+    # looked up per call, so the shared parser holds no command functions
+    command = globals()[f"_cmd_{args.command}"]
     try:
-        return args.func(args)
+        return command(args)
     except InternalConsistencyError as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return INTERNAL_ERROR

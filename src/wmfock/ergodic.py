@@ -102,7 +102,8 @@ def check_creator_sum_estimate(space: TruncSpace,
 
     ||sum_j creator(i_j) eta_j||^2 equals the sum of the individual norms
     squared, and is bounded by n * max_j ||eta_j||^2 when each creator is
-    applied inside the window.
+    applied inside the window.  ``orthogonal_exact`` is true only when both
+    squared norms are exact and equal; inexact ones are compared at 1e-12.
     """
     if len(vectors) != len(indices):
         raise ValueError("one index per vector required")
@@ -132,13 +133,14 @@ def check_creator_sum_estimate(space: TruncSpace,
                 total[t] = s
     total_sq = vector_norm_sq(total)
     bound_sq = scalars.demote(len(indices) * max_in_sq)
-    if scalars.is_exact(total_sq) and scalars.is_exact(parts_sq):
+    exact = scalars.is_exact(total_sq) and scalars.is_exact(parts_sq)
+    if exact:
         orthogonal = total_sq == parts_sq
     else:
         orthogonal = abs(float(total_sq) - float(parts_sq)) <= 1e-12
     within = float(total_sq) <= float(bound_sq) + 1e-12
     return CreatorSumCheck(len(indices), total_sq, parts_sq, bound_sq,
-                           orthogonal, orthogonal and within)
+                           exact and orthogonal, orthogonal and within)
 
 
 @dataclass(frozen=True)

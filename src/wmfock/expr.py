@@ -299,6 +299,10 @@ class ParseError(ValueError):
 
 _SYMBOLS = set("+-*/()'")
 
+# deepest parenthesis nesting the parser accepts; each level costs four
+# Python frames of the recursive descent
+_MAX_NESTING = 100
+
 
 def _lex(text: str):
     """Yield (kind, value, pos); kinds: name, num, sym."""
@@ -347,6 +351,7 @@ class _Parser:
         self.toks = list(_lex(text))
         self.pos = 0
         self.text = text
+        self.depth = 0
 
     def peek(self, offset: int = 0):
         j = self.pos + offset
@@ -531,7 +536,11 @@ class _Parser:
             if self.looks_like_complex():
                 return Element.one(self.case, self.parse_complex())
             self.next()
+            if self.depth == _MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {_MAX_NESTING}", pos)
+            self.depth += 1
             inner = self.parse_expr()
+            self.depth -= 1
             self.expect("sym", ")")
             return inner
         raise ParseError(f"expected an atom, found {val!r}", pos)

@@ -282,9 +282,59 @@ def test_certificate_float_coefficient():
       '{"d":3,"particles":3,"components":[{"level":"0","phase":1}]}'), b"'level'"),
     (("reps", "decompose", "--spec",
       '{"d":3,"particles":3,"components":[{"level":0,"phase":[1]}]}'), b"'phase'"),
+    (("rewrite", "--case", "z", "--expr", "(" * 2000 + "c(1)" + ")" * 2000), b"nested deeper"),
+    (("cesaro", "--word", "(" * 2000 + "c(1)" + ")" * 2000, "--n", "4"), b"nested deeper"),
 ])
 def test_numeric_and_spec_faults_exit_2(args, expected):
     code, out, err = run_cli(*args)
     assert code == 2
     assert out == b""
     assert err.count(b"\n") == 1 and err.startswith(b"error:") and expected in err
+
+
+def test_nested_expr_report():
+    nested = "(" * 50 + "c(1)" + ")" * 50
+    assert run_json("rewrite", "--case", "z", "--expr", nested)["normalForm"] == "c(1)"
+
+
+# one argv per subcommand, among an argparse rejection, --help and a bad spec
+REUSE_ARGVS = [
+    ("rewrite", "--case", "z", "--expr", "c(1) a(1)"),
+    ("no-such-command",),
+    ("verify", "--suite", "relations-z", "--window", "-2..2", "--particles", "2"),
+    ("--help",),
+    ("moments", "--expr", "x(1)", "--max-order", "4", "--csv"),
+    ("commutant", "--gens", "{not json"),
+    ("cesaro", "--word", "c(0)", "--n", "4"),
+    ("limit", "--N", "2,3"),
+    ("rewrite", "--help"),
+    ("states", "--expr", "a(1)c(1)", "--t", "1/3"),
+    ("verify", "--suite", "anti", "--window", "1..3", "--max-size"),
+    ("certificate", "--expr", "a(0)c(0)"),
+    ("nonconvergence", "--n", "3"),
+    ("commutant", "--gens", '{"case":"N","window":[1,1],"particles":1,"exprs":["x(1)"]}'),
+    ("reps", "decompose", "--spec",
+     '{"d":3,"particles":3,"components":[{"level":1,"phase":-1}]}'),
+]
+
+
+def test_parser_reused_across_calls(monkeypatch, capsys):
+    assert cli.build_parser() is cli.build_parser()
+    # help text wraps at the terminal width; fix it on both sides
+    monkeypatch.setenv("COLUMNS", "80")
+    env = {**ENV, "COLUMNS": "80"}
+    mask = lambda b: RUNTIME.sub(b'"runtimeMillis": X', b)
+    fresh = {}
+    for argv in REUSE_ARGVS:
+        proc = subprocess.run([sys.executable, "-m", "wmfock.cli", *argv],
+                              capture_output=True, env=env)
+        fresh[argv] = (proc.returncode, mask(proc.stdout), proc.stderr)
+    assert {code for code, _, _ in fresh.values()} == {0, 2}
+    capsys.readouterr()
+    for argv in REUSE_ARGVS * 2:
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:  # argparse rejection or --help
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert (code, mask(out.encode()), err.encode()) == fresh[argv], argv

@@ -169,6 +169,8 @@ def test_float_coefficients_give_real_norms():
     chk = check_creator_sum_estimate(space, [{(1,): 0.5, (2,): 1}, {(1,): 0.25j}], [2, 3])
     assert chk.passed
     assert (chk.total_sq, chk.parts_sq, chk.bound_sq) == (1.3125, 1.3125, 2.5)
+    # float norms are compared at 1e-12, so orthogonality is not exact
+    assert not chk.orthogonal_exact
 
 
 def test_certificate_rejects_unital():

@@ -70,6 +70,15 @@ def test_parse_errors_carry_position():
         pytest.fail("expected a syntax error")
 
 
+def test_parse_nesting_is_bounded():
+    deep = "(" * 2000 + "c(1)" + ")" * 2000
+    with pytest.raises(ParseError, match="nested deeper"):
+        parse(deep, "Z")
+    nested = "(" * 50 + "c(1)" + ")" * 50
+    assert parse(nested, "Z") == parse("c(1)", "Z")
+    assert parse(nested, "N") == parse("c(1)", "N")
+
+
 def test_parse_index_domain():
     with pytest.raises(ParseError):
         parse("c(-1)", "N")
