@@ -86,7 +86,7 @@ def _parse_scalar(text: str):
     raise ValueError(f"--t must be an integer, p/q or a finite number, got {text!r}")
 
 
-def _finish(report: Report, started: float, as_json: bool = True) -> int:
+def _finish(report: Report, started: float) -> int:
     report.runtime_millis = int((time.monotonic() - started) * 1000)
     print(report.render())
     return 0 if report.passed else CHECK_FAILED

@@ -13,16 +13,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
 from . import scalars
 from .expr import Case, Element
 from .fock import (
     BasisTuple,
-    SparseMat,
     TruncSpace,
+    accumulate,
     apply_element_to_vector,
-    column_action,
+    columns_matrix,
     creator_tuple,
     evaluate,
     interior_tuples,
@@ -40,17 +40,6 @@ def cesaro_average(x: Element, n: int) -> Element:
     for k in range(n):
         total = total + x.shift(k)
     return total.scale(Fraction(1, n))
-
-
-def _columns_matrix(space: TruncSpace, x: Element,
-                    cols: Sequence[BasisTuple]) -> SparseMat:
-    """Matrix of x restricted to the given column tuples (full row space)."""
-    space.materialize()
-    entries: Dict[Tuple[int, int], scalars.Scalar] = {}
-    for c, t in enumerate(cols):
-        for img, coeff in column_action(space, x, t).items():
-            entries[(space.position(img), c)] = coeff
-    return SparseMat(space.dimension, len(cols), entries)
 
 
 @dataclass(frozen=True)
@@ -79,7 +68,7 @@ def check_cesaro_bound(space: TruncSpace, word_element: Element, n: int,
     avg = cesaro_average(word_element, n)
     margin = avg.max_surplus()
     cols = list(interior_tuples(space, margin, 0))
-    mat = _columns_matrix(space, avg, cols)
+    mat = columns_matrix(space, avg, cols)
     norm = operator_norm(mat) if not mat.is_zero() else 0.0
     bound = 1.0 / math.sqrt(n) + tol
     return CesaroCheck(n, bound, norm, len(cols), norm <= bound)
@@ -120,17 +109,13 @@ def check_creator_sum_estimate(space: TruncSpace,
         for t, coeff in vec.items():
             out = creator_tuple(space, i, t)
             if out is not None:
-                img[out] = scalars.add(img.get(out, 0), coeff)
+                accumulate(img, out, coeff)
         parts_sq = scalars.demote(parts_sq + vector_norm_sq(img))
         in_sq = vector_norm_sq(vec)
         if float(in_sq) > float(max_in_sq):
             max_in_sq = in_sq
         for t, coeff in img.items():
-            s = scalars.add(total.get(t, 0), coeff)
-            if scalars.is_zero(s):
-                total.pop(t, None)
-            else:
-                total[t] = s
+            accumulate(total, t, coeff)
     total_sq = vector_norm_sq(total)
     bound_sq = scalars.demote(len(indices) * max_in_sq)
     exact = scalars.is_exact(total_sq) and scalars.is_exact(parts_sq)
@@ -256,11 +241,7 @@ def vacuum_certificate(x: Element) -> float:
     vac: Dict[BasisTuple, scalars.Scalar] = {(): 1}
     r1 = dict(vac)
     for t, coeff in apply_element_to_vector(space, x, vac).items():
-        s1 = scalars.add(r1.get(t, 0), scalars.neg(coeff))
-        if scalars.is_zero(s1):
-            r1.pop(t, None)
-        else:
-            r1[t] = s1
+        accumulate(r1, t, scalars.neg(coeff))
     probe: Dict[BasisTuple, scalars.Scalar] = {(s,): 1}
     r2 = apply_element_to_vector(space, x, probe)
     n1 = vector_norm_sq(r1)

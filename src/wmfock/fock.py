@@ -1,5 +1,10 @@
 """Truncated weakly monotone Fock spaces and exact evaluation.
 
+This module is the package's one tuple evaluator: every word acting on a
+basis tuple and every column of an element goes through word_image and
+column_action below, and accumulate is the one add-and-drop-zeros step
+that tuple-keyed vectors and rewrite's normal forms share.
+
 Basis vectors are index tuples (i1, ..., ik) with k <= trunc; the empty
 tuple is the vacuum.  Z and N cases use non-increasing tuples (i1 >= ... >=
 ik, with indices >= 1 for N), the ANTI case non-decreasing tuples with
@@ -7,10 +12,13 @@ indices >= 1.  The creator c(i) prepends i when the result is admissible
 and kills top-level vectors; the annihilator a(i) strips a leading i.  In
 the N case, index-0 letters denote the abstract bottom generator: under
 evaluation (at unit phase) both c(0) and a(0) act as the rank-one vacuum
-projection; build_generator still rejects index 0, since the gauge-aware
-version lives with the representation builders.  A word acts letter by
-letter on each tuple it meets; no (word, tuple) memo is kept, since
-recomputing a short word costs no more than hashing such a key.
+projection.  A word that survives has met each bottom letter at the
+vacuum, so its gauge factor z^(#c(0) - #a(0)) depends on the word alone;
+rewrite.equal_n puts that factor into the coefficients and evaluates here.
+build_generator still rejects index 0, since the gauge-aware version lives
+with the representation builders.  A word acts letter by letter on each
+tuple it meets; no (word, tuple) memo is kept, since recomputing a short
+word costs no more than hashing such a key.
 
 Basis order is by particle count, then ascending lexicographic order of
 the tuple, and is part of the interface: matrix positions are stable.
@@ -35,7 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -194,11 +202,20 @@ def word_image(space: TruncSpace, w: Word, t: BasisTuple) -> Optional[BasisTuple
     return out
 
 
+def accumulate(vec: dict, key, delta) -> None:
+    """Add delta to vec[key] in place, dropping the key when the sum is 0."""
+    acc = scalars.add(vec.get(key, 0), delta)
+    if scalars.is_zero(acc):
+        vec.pop(key, None)
+    else:
+        vec[key] = acc
+
+
 def column_action(space: TruncSpace, x: Element, t: BasisTuple) -> Dict[BasisTuple, scalars.Scalar]:
     """The vector x e_t as a tuple-keyed dict (zero coefficients dropped).
 
     A coefficient whose word is the only one to reach its image is stored as
-    it is; coefficients meeting at one image are summed with scalars.add.
+    it is; coefficients meeting at one image are summed with accumulate.
     """
     out: Dict[BasisTuple, scalars.Scalar] = {}
     if x.unit:
@@ -208,11 +225,7 @@ def column_action(space: TruncSpace, x: Element, t: BasisTuple) -> Dict[BasisTup
         if img is None:
             continue
         if img in out:
-            acc = scalars.add(out[img], c)
-            if acc:
-                out[img] = acc
-            else:
-                del out[img]
+            accumulate(out, img, c)
         else:
             out[img] = c
     return out
@@ -225,11 +238,7 @@ def apply_element_to_vector(space: TruncSpace, x: Element,
         if scalars.is_zero(v):
             continue
         for img, c in column_action(space, x, t).items():
-            acc = scalars.add(out.get(img, 0), scalars.mul(v, c))
-            if scalars.is_zero(acc):
-                out.pop(img, None)
-            else:
-                out[img] = acc
+            accumulate(out, img, scalars.mul(v, c))
     return out
 
 
@@ -346,15 +355,20 @@ def build_generator(space: TruncSpace, i: int, dagger: bool) -> SparseMat:
     return evaluate(space, Element.word(space.case, ((i, dagger),)))
 
 
+def columns_matrix(space: TruncSpace, x: Element, cols: Sequence[BasisTuple]) -> SparseMat:
+    """Matrix of x restricted to the given column tuples (full row space)."""
+    space.materialize()
+    entries: dict = {}
+    for cpos, t in enumerate(cols):
+        for img, v in column_action(space, x, t).items():
+            entries[(space.position(img), cpos)] = v
+    return SparseMat(space.dimension, len(cols), entries)
+
+
 def evaluate(space: TruncSpace, x: Element) -> SparseMat:
     """Matrix of x on the full truncated basis (materializes the basis)."""
     space.check_indices(x)
-    basis = space.materialize()
-    entries: dict = {}
-    for cpos, t in enumerate(basis):
-        for img, v in column_action(space, x, t).items():
-            entries[(space.position(img), cpos)] = v
-    return SparseMat(space.dimension, space.dimension, entries)
+    return columns_matrix(space, x, space.materialize())
 
 
 # --- interior contract -----------------------------------------------------------

@@ -31,6 +31,7 @@ from typing import Dict, Optional, Tuple
 from . import scalars
 from .errors import FuelError, InternalConsistencyError, SizeLimitError
 from .expr import Case, Element, Token, Word, word_str
+from .fock import TruncSpace, accumulate, column_action
 
 MultiIndex = Tuple[int, ...]
 
@@ -326,14 +327,6 @@ class NormalFormN:
         return True
 
 
-def _accumulate(dst: dict, key, delta) -> None:
-    acc = scalars.add(dst.get(key, 0), delta)
-    if scalars.is_zero(acc):
-        dst.pop(key, None)
-    else:
-        dst[key] = acc
-
-
 def normalize_z(x: Element, fuel: Optional[int] = None, log: Optional[list] = None) -> NormalFormZ:
     """Rewrite a Z-case element to its unique Hamel normal form."""
     if x.case is not Case.Z:
@@ -346,7 +339,7 @@ def normalize_z(x: Element, fuel: Optional[int] = None, log: Optional[list] = No
             if not w:
                 nf.unit = scalars.add(nf.unit, contrib)
             elif _is_pair(w):
-                _accumulate(nf.pairs, w[0][0], contrib)
+                accumulate(nf.pairs, w[0][0], contrib)
             elif _is_support(w):
                 # R8: c(i)a(i) = a(i)c(i) - a(i-1)c(i-1)
                 i = w[0][0]
@@ -358,10 +351,10 @@ def normalize_z(x: Element, fuel: Optional[int] = None, log: Optional[list] = No
                         "out": [word_str(((i, False), (i, True))),
                                 "-" + word_str(((i - 1, False), (i - 1, True)))],
                     })
-                _accumulate(nf.pairs, i, contrib)
-                _accumulate(nf.pairs, i - 1, scalars.neg(contrib))
+                accumulate(nf.pairs, i, contrib)
+                accumulate(nf.pairs, i - 1, scalars.neg(contrib))
             else:
-                _accumulate(nf.lam, w, contrib)
+                accumulate(nf.lam, w, contrib)
     if scalars.is_zero(nf.unit):
         nf.unit = 0
     return nf
@@ -397,7 +390,7 @@ def normalize_n(x: Element, fuel: Optional[int] = None, log: Optional[list] = No
                     raise InternalConsistencyError(f"fold produced non-normal word {word_str(v)}")
                 mu, annih = split
                 nu = tuple(reversed(annih))
-                _accumulate(nf.paths, (mu, nu), c)
+                accumulate(nf.paths, (mu, nu), c)
     if scalars.is_zero(nf.unit):
         nf.unit = 0
     return nf
@@ -410,67 +403,33 @@ def equal_z(x: Element, y: Element, tol: float = scalars.DEFAULT_TOL) -> bool:
 
 # --- N-case evaluation cross-check --------------------------------------------
 
-def _n_rep_columns(d: int, max_particles: int, cap: int = 200000):
-    """Non-increasing tuples over [1, d] with at most max_particles letters."""
-    out = [()]
-
-    def extend(prefix_top: int, length: int, prefix: tuple):
-        for first in range(1, prefix_top + 1):
-            t = prefix + (first,)
-            out.append(t)
-            if length + 1 < max_particles:
-                extend(first, length + 1, t)
-
-    extend(d, 0, ())
-    if len(out) > cap:
-        raise SizeLimitError(f"cross-check space too large ({len(out)} columns)")
-    return out
+_EQUAL_N_CAP = 200_000
 
 
-def _n_rep_apply(x: Element, col: tuple, trunc: int):
-    """Apply x under s_0 -> z P_vac, s_i -> creator A_i (i >= 1), formal z."""
-    out: dict = {}
+def _gauged(x: Element) -> Element:
+    """x with each word's coefficient times its gauge factor z^(#c(0) - #a(0)).
 
-    def put(t, c):
-        acc = scalars.add(out.get(t, 0), c)
-        if scalars.is_zero(acc):
-            out.pop(t, None)
-        else:
-            out[t] = acc
-
-    if not scalars.is_zero(x.unit):
-        put(col, x.unit)
-    for w, coeff in x.terms.items():
-        t = col
-        c = coeff
-        dead = False
-        for i, dag in reversed(w):
-            if i == 0:
-                if t:
-                    dead = True
-                    break
-                c = scalars.mul(c, scalars.LaurentZ({1 if dag else -1: 1}))
-            elif dag:
-                if (t and i < t[0]) or len(t) >= trunc:
-                    dead = True
-                    break
-                t = (i,) + t
-            else:
-                if not t or t[0] != i:
-                    dead = True
-                    break
-                t = t[1:]
-        if not dead:
-            put(t, c)
-    return out
+    fock evaluates s_0 at unit phase; with these coefficients that gives the
+    vacuum-level action, where s_0 acts as z P_vac.
+    """
+    terms = {}
+    for w, c in x.terms.items():
+        deg = sum(1 if dag else -1 for i, dag in w if i == 0)
+        terms[w] = scalars.mul(c, scalars.LaurentZ({deg: 1})) if deg else c
+    return Element(Case.N, x.unit, terms)
 
 
 def equal_n(x: Element, y: Element, tol: float = scalars.DEFAULT_TOL) -> bool:
     """Algebra equality in the N case, decided by two routes at once.
 
     Route one compares canonical path maps; route two evaluates both sides
-    under the vacuum-level representation with a formal gauge variable,
-    on every column deep enough to separate words of the given length.
+    under the vacuum-level representation with a formal gauge variable.
+    With d one above the largest index and L the longest word (at least 1),
+    its columns are every tuple of TruncSpace(N, 1, d, 2L + 1) with at most
+    L + 1 particles, deep enough to separate words of length L; each side's
+    gauge factors ride on its coefficients (see _gauged).  Their count, the
+    closed form sum of comb(d + k - 1, k) for k = 0..L + 1, is checked
+    before any work: above 200,000 columns SizeLimitError is raised.
     Agreeing canonical maps with disagreeing evaluations would mean the
     rewriter itself is broken, so that combination raises
     InternalConsistencyError.  The converse is expected: canonical path
@@ -479,23 +438,24 @@ def equal_n(x: Element, y: Element, tol: float = scalars.DEFAULT_TOL) -> bool:
     """
     if x.case is not Case.N or y.case is not Case.N:
         raise ValueError("equal_n expects N-case elements")
-    maps_agree = normalize_n(x).agrees_with(normalize_n(y), tol)
-
     idx = x.indices() | y.indices()
     # one index above everything referenced, so a fresh head letter can
     # witness the gap between a support projection and the unit
     d = max([1] + [i for i in idx]) + 1
     maxlen = max(x.max_word_len(), y.max_word_len(), 1)
-    trunc = 2 * maxlen + 1
+    space = TruncSpace(Case.N, 1, d, 2 * maxlen + 1)
+    columns = sum(space.level_dimension(k) for k in range(maxlen + 2))
+    if columns > _EQUAL_N_CAP:
+        raise SizeLimitError(f"cross-check space too large ({columns} columns)")
+
+    maps_agree = normalize_n(x).agrees_with(normalize_n(y), tol)
+    gx, gy = _gauged(x), _gauged(y)
     evals_agree = True
-    for col in _n_rep_columns(d, maxlen + 1):
-        ax = _n_rep_apply(x, col, trunc)
-        ay = _n_rep_apply(y, col, trunc)
-        for t in set(ax) | set(ay):
-            if not scalars.eq(ax.get(t, 0), ay.get(t, 0), tol):
-                evals_agree = False
-                break
-        if not evals_agree:
+    for t in space.tuples(max_particles=maxlen + 1):
+        ax = column_action(space, gx, t)
+        ay = column_action(space, gy, t)
+        if not all(scalars.eq(ax.get(k, 0), ay.get(k, 0), tol) for k in ax.keys() | ay.keys()):
+            evals_agree = False
             break
 
     if maps_agree and not evals_agree:

@@ -258,9 +258,11 @@ def to_json(s: Scalar):
 class LaurentZ:
     """Laurent polynomial in a formal unimodular z; conj sends z^k to z^-k.
 
-    Coefficients are scalars from the tower above.  Instances are immutable
-    in use: arithmetic returns fresh objects, and zero coefficients are
-    dropped on construction.
+    Coefficients are scalars from the tower above, brought to its normal
+    form on construction: zero coefficients are dropped, exact ones demoted
+    and inexact ones made complex, so a result does not depend on which
+    operand was a LaurentZ.  Instances are immutable in use: arithmetic
+    returns fresh objects.
     """
 
     __slots__ = ("coeffs",)
@@ -270,7 +272,7 @@ class LaurentZ:
         if coeffs:
             for k, v in coeffs.items():
                 if not is_zero(v):
-                    clean[int(k)] = v
+                    clean[int(k)] = demote(v) if is_exact(v) else complex(v)
         self.coeffs = clean
 
     @classmethod

@@ -30,6 +30,7 @@ from .fock import (
     BasisTuple,
     SparseMat,
     TruncSpace,
+    accumulate,
     apply_element_to_vector,
     build_generator,
     interior_columns,
@@ -147,33 +148,22 @@ def verify_qn(space: TruncSpace, i: int, n_max: int,
                             "nMax": n_max})
     for n, poly in enumerate(fam):
         got = apply_element_to_vector(space, poly_element(poly, xel), {(): 1})
-        want: Dict[BasisTuple, scalars.Scalar] = {(i,) * n: 1}
-        ok = _vectors_equal_exact(got, want)
-        report.add(Instance(f"qn[{n}]", ok, EXACT_ZERO if ok else _vector_diff(got, want)))
+        report.add(_difference(f"qn[{n}]", got, {(i,) * n: 1}))
     if include_product and space.contains_index(2) and space.trunc >= 3:
         fam2 = recurrence_family(2)
         prod = poly_element(fam2[2], position_element(space.case, 2)) \
             * poly_element(fam2[1], position_element(space.case, 1))
         got = apply_element_to_vector(space, prod, {(): 1})
-        want = {(2, 2, 1): 1}
-        ok = _vectors_equal_exact(got, want)
-        report.add(Instance("product[q2(2)q1(1)]", ok,
-                            EXACT_ZERO if ok else _vector_diff(got, want)))
+        report.add(_difference("product[q2(2)q1(1)]", got, {(2, 2, 1): 1}))
     return report
 
 
-def _vectors_equal_exact(a: Dict, b: Dict) -> bool:
-    for t in set(a) | set(b):
-        if not scalars.is_zero(scalars.add(a.get(t, 0), scalars.neg(b.get(t, 0)))):
-            return False
-    return True
-
-
-def _vector_diff(a: Dict, b: Dict) -> float:
-    diff = dict(a)
-    for t, v in b.items():
-        diff[t] = scalars.add(diff.get(t, 0), scalars.neg(v))
-    return math.sqrt(float(vector_norm_sq(diff)))
+def _difference(iid: str, got: Dict, want: Dict) -> Instance:
+    """Passes when got - want is exactly 0; otherwise reports its norm."""
+    diff = dict(got)
+    for t, v in want.items():
+        accumulate(diff, t, scalars.neg(v))
+    return Instance(iid, not diff, math.sqrt(float(vector_norm_sq(diff))) if diff else EXACT_ZERO)
 
 
 # --- averaged squared positions ---------------------------------------------
@@ -200,22 +190,12 @@ def limit_residual(space: TruncSpace, n_window: int, xi: BasisTuple) -> float:
     start: Dict[BasisTuple, scalars.Scalar] = {xi: 1}
     for i in range(-n_window, n_window + 1):
         sq = position_element(Case.Z, i)
-        img = apply_element_to_vector(space, sq * sq, start)
-        for t, v in img.items():
-            s = scalars.add(acc.get(t, 0), v)
-            if scalars.is_zero(s):
-                acc.pop(t, None)
-            else:
-                acc[t] = s
+        for t, v in apply_element_to_vector(space, sq * sq, start).items():
+            accumulate(acc, t, v)
     scale = Fraction(1, count)
     resid: Dict[BasisTuple, scalars.Scalar] = {t: scalars.mul(scale, v) for t, v in acc.items()}
     # subtract T xi = (1 if vacuum else 1/2) xi
-    w = 1 if xi == () else Fraction(1, 2)
-    s = scalars.add(resid.get(xi, 0), scalars.neg(w))
-    if scalars.is_zero(s):
-        resid.pop(xi, None)
-    else:
-        resid[xi] = s
+    accumulate(resid, xi, -1 if xi == () else Fraction(-1, 2))
     return math.sqrt(float(vector_norm_sq(resid)))
 
 

@@ -1,5 +1,6 @@
 """Rewriting to canonical normal forms, checked against a naive action oracle."""
 
+import cmath
 from fractions import Fraction
 from random import Random
 
@@ -7,7 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from conftest import random_element_n, random_element_z, random_word_z
+from conftest import random_element_n, random_element_z, random_scalar, random_word_z
+from wmfock import fock, rewrite, scalars
+from wmfock.errors import SizeLimitError
 from wmfock.expr import Element, parse
 from wmfock.rewrite import (WordClass, classify_word, default_fuel, equal_n,
                             equal_z, normalize_n, normalize_z)
@@ -93,6 +96,95 @@ def test_equal_n_separates_support_from_unit():
     assert not equal_n(parse("a(1)c(1)", "N"), parse("I", "N"))
     assert not equal_n(parse("p(0)", "N"), parse("I", "N"))
     assert not equal_n(parse("a(0)c(0)", "N"), parse("I", "N"))
+
+
+def test_equal_n_keeps_the_formal_gauge():
+    # s_0 acts as z P_vac: unit-phase evaluation would call these equal
+    assert not equal_n(parse("c(0)", "N"), parse("a(0)", "N"))
+    assert not equal_n(parse("c(0)c(0)", "N"), parse("c(0)", "N"))
+    assert equal_n(parse("c(0)a(0)", "N"), parse("a(0)c(0)", "N"))
+
+
+def _random_bottom_element(rng: Random) -> Element:
+    e = Element.zero("N")
+    if rng.random() < 0.4:
+        e = e + Element.one("N", random_scalar(rng))
+    for _ in range(rng.randint(1, 3)):
+        w = tuple((rng.randint(0, 3), rng.random() < 0.5) for _ in range(rng.randint(1, 3)))
+        c = random_scalar(rng) if rng.random() < 0.5 else scalars.gaussian(
+            random_scalar(rng), random_scalar(rng))
+        if c:
+            e = e + Element.word("N", w, c)
+    return e
+
+
+def _oracle_verdict(x: Element, y: Element):
+    """equal_n's evaluation verdict from oracles.act_word, on its columns.
+
+    Each side acts at unit phase and each surviving word is weighted by
+    z^(#c(0) - #a(0)); degrees lie in [-L, L] for the longest word L, so the
+    Laurent images agree iff they agree at 2L + 1 distinct roots of unity.
+    """
+    d = max([1] + list(x.indices() | y.indices())) + 1
+    maxlen = max(x.max_word_len(), y.max_word_len(), 1)
+    cols = oracles.naive_tuples("N", 1, d, maxlen + 1)
+    if len(cols) > 200_000:
+        return SizeLimitError
+    roots = [cmath.exp(2j * cmath.pi * k / (2 * maxlen + 1)) for k in range(2 * maxlen + 1)]
+
+    def image(e, z, t):
+        out = {}
+        for w, c in [((), e.unit)] + list(e.terms.items()):
+            img = oracles.act_word("N", w, t, 2 * maxlen + 1)
+            if img is not None:
+                deg = sum(1 if dag else -1 for i, dag in w if i == 0)
+                out[img] = out.get(img, 0) + oracles.scalar_value(c) * z ** deg
+        return out
+
+    for z in roots:
+        for t in cols:
+            a, b = image(x, z, t), image(y, z, t)
+            if any(abs(a.get(k, 0) - b.get(k, 0)) > 1e-9 for k in a.keys() | b.keys()):
+                return False
+    return True
+
+
+def test_equal_n_matches_gauged_oracle():
+    rng = Random(4242)
+    p1 = Element.word("N", ((1, True), (1, False)))
+    verdicts = []
+    for k in range(200):
+        x = _random_bottom_element(rng)
+        if k % 4 == 0:
+            y = normalize_n(x).to_element()
+        elif k % 4 == 1:
+            y = normalize_n(x).to_element() + p1
+        elif k % 4 == 2:
+            # turn every bottom creator into an annihilator and back
+            y = Element("N", x.unit, {tuple((i, dag != (i == 0)) for i, dag in w): c
+                                      for w, c in x.terms.items()})
+        else:
+            y = _random_bottom_element(rng)
+        want = _oracle_verdict(x, y)
+        if want is SizeLimitError:
+            with pytest.raises(SizeLimitError):
+                equal_n(x, y)
+            continue
+        assert equal_n(x, y) is want, (x, y)
+        verdicts.append(want)
+    assert verdicts.count(True) > 20 and verdicts.count(False) > 20
+
+
+def test_equal_n_cap_is_checked_before_any_column(monkeypatch):
+    def no_columns(*args):
+        raise AssertionError("column_action called above the cap")
+
+    monkeypatch.setattr(rewrite, "column_action", no_columns)
+    monkeypatch.setattr(fock, "column_action", no_columns)
+    x = Element.word("N", ((1, True),) * 9 + ((9, True),))
+    with pytest.raises(SizeLimitError) as err:
+        equal_n(x, x)
+    assert str(err.value) == "cross-check space too large (352716 columns)"
 
 
 def test_default_fuel_formula():
