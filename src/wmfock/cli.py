@@ -29,6 +29,7 @@ from .errors import (
     WindowError,
 )
 from .ergodic import (
+    NONCONVERGENCE_MAX_EVALS,
     check_cesaro_bound,
     check_nonconvergence,
     fixed_point_check,
@@ -455,7 +456,10 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--case", default="z", choices=["z", "anti"])
 
     q = sub.add_parser("nonconvergence", help="norm-one witness for shifted averages")
-    q.add_argument("--n", type=int, required=True)
+    q.add_argument("--n", type=int, required=True,
+                   help="average length; n times the basis dimension (n + 1 indices, "
+                        f"2 particles) must stay within {NONCONVERGENCE_MAX_EVALS:,} "
+                        "word evaluations, so n <= 157")
 
     q = sub.add_parser("commutant", help="exact commutant dimension")
     q.add_argument("--gens", required=True, help="JSON file or inline JSON")

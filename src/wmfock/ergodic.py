@@ -16,7 +16,8 @@ from fractions import Fraction
 from typing import Dict, Optional, Sequence
 
 from . import scalars
-from .expr import Case, Element
+from .errors import SizeLimitError
+from .expr import Case, Element, Word
 from .fock import (
     BasisTuple,
     TruncSpace,
@@ -31,15 +32,24 @@ from .fock import (
 )
 from .rewrite import classify_word, normalize_z
 
+# check_nonconvergence evaluates its n words on every basis tuple; it refuses
+# more than this many word evaluations before any work starts
+NONCONVERGENCE_MAX_EVALS = 2_000_000
+
 
 def cesaro_average(x: Element, n: int) -> Element:
     """(1/n) * sum of the first n index shifts of x, exact coefficients."""
     if n <= 0:
         raise ValueError("average length must be positive")
-    total = Element.zero(x.case)
+    # one terms dict summed in shift order: the values and the key order of
+    # n chained Element additions, without copying the sum at every step
+    unit = 0
+    terms: Dict[Word, scalars.Scalar] = {}
     for k in range(n):
-        total = total + x.shift(k)
-    return total.scale(Fraction(1, n))
+        unit = scalars.add(unit, x.unit)
+        for w, c in x.shift(k).terms.items():
+            accumulate(terms, w, c)
+    return Element(x.case, unit, terms).scale(Fraction(1, n))
 
 
 @dataclass(frozen=True)
@@ -58,13 +68,16 @@ def check_cesaro_bound(space: TruncSpace, word_element: Element, n: int,
     The average is evaluated on interior columns only, where truncation is
     invisible, so its operator norm there bounds the untruncated norm from
     below; the check asserts that even this certified lower bound respects
-    the 1/sqrt(n) estimate.
+    the 1/sqrt(n) estimate.  The matrix rows span the whole space, so a
+    space above its dimension cap raises SizeLimitError before averaging.
     """
     if len(word_element.terms) != 1 or not scalars.is_zero(word_element.unit):
         raise ValueError("the Cesaro bound applies to a single word")
     word = next(iter(word_element.terms))
     if classify_word(word).kind != "lambda":
         raise ValueError("the Cesaro bound applies to lambda words only")
+    if space.dimension > space.cap:
+        raise SizeLimitError(f"space dimension {space.dimension} exceeds cap {space.cap}")
     avg = cesaro_average(word_element, n)
     margin = avg.max_surplus()
     cols = list(interior_tuples(space, margin, 0))
@@ -146,6 +159,9 @@ def check_nonconvergence(space: TruncSpace, n: int) -> NonconvergenceCheck:
     basis; its entry at the one-particle vector with index -n is exactly -1,
     and no entry exceeds 1 in modulus, so both norm bounds meet at 1.  The
     diagonal entry at index 0 is -1/n, the strong-convergence residual.
+    The n words are evaluated on every basis tuple, so SizeLimitError is
+    raised before any work when n times the dimension of the space exceeds
+    NONCONVERGENCE_MAX_EVALS.
     """
     if space.case is not Case.Z:
         raise ValueError("non-convergence witness lives on the integer case")
@@ -155,9 +171,12 @@ def check_nonconvergence(space: TruncSpace, n: int) -> NonconvergenceCheck:
         raise ValueError(f"window must contain [{-n}, 0]")
     if space.trunc < 2:
         raise ValueError("particle cap must be at least 2 so the witness column is interior")
-    avg = Element.zero(Case.Z)
-    for k in range(n):
-        avg = avg + Element.word(Case.Z, ((-k, False), (-k, True)))
+    evals = space.dimension * n
+    if evals > NONCONVERGENCE_MAX_EVALS:
+        raise SizeLimitError(f"non-convergence check needs {evals} word evaluations "
+                             f"(n = {n} words on {space.dimension} basis tuples), "
+                             f"above the bound of {NONCONVERGENCE_MAX_EVALS}")
+    avg = Element(Case.Z, terms={((-k, False), (-k, True)): 1 for k in range(n)})
     avg = avg.scale(Fraction(1, n))
     mat = evaluate(space, avg)
     space.materialize()

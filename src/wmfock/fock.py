@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -203,7 +204,17 @@ def word_image(space: TruncSpace, w: Word, t: BasisTuple) -> Optional[BasisTuple
 
 
 def accumulate(vec: dict, key, delta) -> None:
-    """Add delta to vec[key] in place, dropping the key when the sum is 0."""
+    """Add delta to vec[key] in place, dropping the key when the sum is 0.
+
+    When key is absent and delta is an int or a Fraction, delta is stored
+    demoted (if nonzero) without an addition: that is what add(0, delta)
+    gives.  Every other type, bool included, takes add, whose normal form
+    may change it (add(0, 0.5) is (0.5+0j), add(0, True) is (1+0j)).
+    """
+    if key not in vec and type(delta) in (int, Fraction):
+        if delta:
+            vec[key] = scalars.demote(delta)
+        return
     acc = scalars.add(vec.get(key, 0), delta)
     if scalars.is_zero(acc):
         vec.pop(key, None)

@@ -5,8 +5,15 @@ combination of already-normal words, and each incoming letter is resolved
 against the tail of every state word by a local case analysis.  Each
 resolution step either extends the word, kills it, or replaces it by a
 small combination of shorter-or-equal normal words, so a word of length l
-is processed in one pass.  The step budget (fuel) from the interface
-contract is enforced but never approached.
+is processed in one pass.
+
+Fuel.  Each word of an element is folded on its own budget, and one step
+is spent each time a letter meets one state word, so a word's step count is
+the sum over its letters of the state size before that letter.  An explicit
+fuel is the most steps a word may take: FuelError is raised on the step
+after it.  The default budget is default_fuel(word) = 4**l * (hi - lo + 2)**l,
+never less than 8**l; the fold starts from 8**l and computes the exact
+default only when a word takes more steps than that.
 
 Z case.  Normal words are the Gamma words (creator letters with
 non-increasing indices followed by annihilator letters with non-decreasing
@@ -26,6 +33,7 @@ agreement against evaluation agreement and raises on any mismatch.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
 from . import scalars
@@ -34,6 +42,13 @@ from .expr import Case, Element, Token, Word, word_str
 from .fock import TruncSpace, accumulate, column_action
 
 MultiIndex = Tuple[int, ...]
+
+# Coefficient types that the fold uses as they are when a word's
+# multiplicity is 1: scalars.mul(c, 1) equals c for them up to the demotion
+# that the following add or accumulate applies anyway.  A float, complex,
+# bool or LaurentZ still goes through mul, whose complex normal form can
+# change it (a bool becomes complex, an infinite part times 0j gives nan).
+_EXACT = (int, Fraction, scalars.GaussianRational)
 
 
 def default_fuel(word: Word) -> int:
@@ -105,13 +120,25 @@ def classify_word(w: Word, case=Case.Z) -> WordClass:
 # --- the fold ----------------------------------------------------------------
 
 class _Budget:
-    __slots__ = ("left",)
+    """The fuel of one word's fold; the fold calls spend() once per step.
 
-    def __init__(self, amount: int):
-        self.left = amount
+    An explicit fuel is the limit as given.  The default starts from the
+    cheap bound 8**l, which default_fuel(word) never undercuts, and the
+    exact default is computed only if the fold spends past that bound.
+    perfbench/tracing.py counts rewrite steps by wrapping spend().
+    """
+
+    __slots__ = ("left", "word")
+
+    def __init__(self, word: Word, fuel: Optional[int]):
+        self.word = word if fuel is None else None
+        self.left = 8 ** len(word) if fuel is None else fuel
 
     def spend(self) -> None:
         self.left -= 1
+        if self.left < 0 and self.word is not None:
+            self.left += default_fuel(self.word) - 8 ** len(self.word)
+            self.word = None
         if self.left < 0:
             raise FuelError("rewrite step budget exhausted")
 
@@ -254,7 +281,8 @@ def _log(log, rule: str, w: Word, tok: Token, out: Dict[Word, int]) -> None:
         })
 
 
-def _reduce_word(word: Word, step, budget: _Budget, log) -> Dict[Word, int]:
+def _reduce_word(word: Word, step, fuel: Optional[int], log) -> Dict[Word, int]:
+    budget = _Budget(word, fuel)
     state: Dict[Word, int] = {(): 1}
     for tok in word:
         nxt: Dict[Word, int] = {}
@@ -333,9 +361,8 @@ def normalize_z(x: Element, fuel: Optional[int] = None, log: Optional[list] = No
         raise ValueError("normalize_z expects a Z-case element")
     nf = NormalFormZ(unit=x.unit)
     for word, coeff in x.terms.items():
-        budget = _Budget(fuel if fuel is not None else default_fuel(word))
-        for w, k in _reduce_word(word, _step_z, budget, log).items():
-            contrib = scalars.mul(coeff, k)
+        for w, k in _reduce_word(word, _step_z, fuel, log).items():
+            contrib = coeff if k == 1 and type(coeff) in _EXACT else scalars.mul(coeff, k)
             if not w:
                 nf.unit = scalars.add(nf.unit, contrib)
             elif _is_pair(w):
@@ -366,9 +393,8 @@ def normalize_n(x: Element, fuel: Optional[int] = None, log: Optional[list] = No
         raise ValueError("normalize_n expects an N-case element")
     nf = NormalFormN(unit=x.unit)
     for word, coeff in x.terms.items():
-        budget = _Budget(fuel if fuel is not None else default_fuel(word))
-        for w, k in _reduce_word(word, _step_n, budget, log).items():
-            contrib = scalars.mul(coeff, k)
+        for w, k in _reduce_word(word, _step_n, fuel, log).items():
+            contrib = coeff if k == 1 and type(coeff) in _EXACT else scalars.mul(coeff, k)
             pending = [(w, contrib)]
             if len(w) == 2 and not w[0][1] and w[1][1]:
                 # trailing standalone support: N4 expansion

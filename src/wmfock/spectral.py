@@ -101,34 +101,36 @@ def poly_element(poly: Polynomial, g: Element) -> Element:
 # --- vacuum moments ---------------------------------------------------------
 
 def vacuum_moment(x: Element, order: int):
-    """<vacuum, x^order vacuum>, exact for exact coefficients.
-
-    The window and particle cap are sized from x so truncation never touches
-    the computation.
-    """
+    """<vacuum, x^order vacuum>, exact for exact coefficients."""
     if order < 0:
         raise ValueError("order must be nonnegative")
-    if order == 0:
-        return 1
-    idx = x.indices()
-    if not idx:
-        u = 1
-        for _ in range(order):
-            u = scalars.mul(u, x.unit)
-        return u
-    lo, hi = min(idx), max(idx)
-    if x.case is not Case.Z:
-        lo = max(lo, 1)
-    trunc = max(1, order * x.max_word_len())
-    space = TruncSpace(x.case, lo, hi, trunc)
-    vec: Dict[BasisTuple, scalars.Scalar] = {(): 1}
-    for _ in range(order):
-        vec = apply_element_to_vector(space, x, vec)
-    return vec.get((), 0)
+    return moment_sequence(x, order)[order]
 
 
 def moment_sequence(x: Element, max_order: int) -> List:
-    return [vacuum_moment(x, k) for k in range(max_order + 1)]
+    """[<vacuum, x^k vacuum> for k = 0..max_order], in one sweep.
+
+    The window and particle cap are sized from x and max_order so truncation
+    never touches any power; x is applied max_order times in all, and each
+    moment is the vacuum entry after its step.
+    """
+    if max_order < 0:
+        return []
+    out = [1]
+    idx = x.indices()
+    if not idx or max_order == 0:
+        for _ in range(max_order):
+            out.append(scalars.mul(out[-1], x.unit))
+        return out
+    lo, hi = min(idx), max(idx)
+    if x.case is not Case.Z:
+        lo = max(lo, 1)
+    space = TruncSpace(x.case, lo, hi, max(1, max_order * x.max_word_len()))
+    vec: Dict[BasisTuple, scalars.Scalar] = {(): 1}
+    for _ in range(max_order):
+        vec = apply_element_to_vector(space, x, vec)
+        out.append(vec.get((), 0))
+    return out
 
 
 # --- the polynomial family on the truncated space ---------------------------

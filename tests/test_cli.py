@@ -284,6 +284,8 @@ def test_certificate_float_coefficient():
       '{"d":3,"particles":3,"components":[{"level":0,"phase":[1]}]}'), b"'phase'"),
     (("rewrite", "--case", "z", "--expr", "(" * 2000 + "c(1)" + ")" * 2000), b"nested deeper"),
     (("cesaro", "--word", "(" * 2000 + "c(1)" + ")" * 2000, "--n", "4"), b"nested deeper"),
+    (("cesaro", "--word", "c(1)", "--n", "100000"), b"exceeds cap"),
+    (("nonconvergence", "--n", "100000"), b"word evaluations"),
 ])
 def test_numeric_and_spec_faults_exit_2(args, expected):
     code, out, err = run_cli(*args)

@@ -1,11 +1,13 @@
 """Shift dynamics, Cesaro averages, invariant states, vacuum certificate."""
 
+import time
 from fractions import Fraction
 from random import Random
 
 import pytest
 
 from conftest import random_element_z
+from wmfock.errors import SizeLimitError
 from wmfock.ergodic import (cesaro_average, check_cesaro_bound,
                             check_creator_sum_estimate, check_nonconvergence,
                             fixed_point_check, omega_t, vacuum_certificate)
@@ -21,6 +23,40 @@ def test_cesaro_frozen():
     unit = parse("3I", "Z")
     for n in (1, 2, 5):
         assert cesaro_average(unit, n) == unit
+
+
+def _chained_average(x, n):
+    total = Element.zero(x.case)
+    for k in range(n):
+        total = total + x.shift(k)
+    return total.scale(Fraction(1, n))
+
+
+@pytest.mark.parametrize("text", [
+    "c(1) - c(2) + c(3)", "c(1)a(1) - c(2)a(2) + 1/2 I", "0.5*c(1) - 0.5*c(2) + c(0)a(1)",
+    "(1+1i) c(1) - (1+1i) c(2) + 3I",
+])
+def test_cesaro_average_equals_chained_sum(text):
+    # the shifts collide: terms cancel and come back, so values, types and
+    # key order must all match n chained Element additions
+    x = parse(text, "Z")
+    for n in (1, 2, 3, 5):
+        got, want = cesaro_average(x, n), _chained_average(x, n)
+        assert repr(got) == repr(want)
+        assert list(got.terms) == list(want.terms)
+
+
+def test_oversized_averages_raise_before_work():
+    # both would spend minutes in the average before the basis is ever built
+    started = time.monotonic()
+    with pytest.raises(SizeLimitError, match="exceeds cap"):
+        check_cesaro_bound(TruncSpace("Z", 1, 100_000, 2), parse("c(1)", "Z"), 100_000)
+    with pytest.raises(SizeLimitError, match="word evaluations"):
+        check_nonconvergence(TruncSpace("Z", -100_000, 0, 2), 100_000)
+    assert time.monotonic() - started < 1.0
+    check_nonconvergence(TruncSpace("Z", -157, 0, 2), 157)  # the largest admitted n
+    with pytest.raises(SizeLimitError):
+        check_nonconvergence(TruncSpace("Z", -158, 0, 2), 158)
 
 
 def test_cesaro_commutes_with_normalize():

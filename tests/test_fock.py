@@ -9,8 +9,9 @@ import pytest
 
 import oracles
 from conftest import random_element_z, random_word_z
+from wmfock import scalars
 from wmfock.expr import Element, parse
-from wmfock.fock import (IdentityCheck, TruncSpace, WindowError,
+from wmfock.fock import (IdentityCheck, TruncSpace, WindowError, accumulate,
                          apply_element_to_vector, build_generator,
                          column_action, enumerate_basis, evaluate,
                          interior_columns, interior_tuples, operator_norm,
@@ -334,3 +335,35 @@ def test_bottom_generator_evaluation_n():
     k = space.position(())
     assert m.entries == {(k, k): 1}
     assert evaluate(space, parse("p(0)", "N")).entries == {(k, k): 1}
+
+
+# delta, then what accumulate stores into an empty vector and into {k: 1/2}
+# (None: nothing stored), with the types that add(0, delta) and
+# add(1/2, delta) give
+ACCUMULATE_TABLE = [
+    (Fraction(4, 2), 2, Fraction(5, 2)),
+    (Fraction(0), None, Fraction(1, 2)),
+    (0, None, Fraction(1, 2)),
+    (True, 1 + 0j, 1.5 + 0j),
+    (0.5, 0.5 + 0j, 1 + 0j),
+    (1j, 1j, 0.5 + 1j),
+    (scalars.gaussian(1, 1), scalars.gaussian(1, 1), scalars.gaussian(Fraction(3, 2), 1)),
+    (scalars.LaurentZ({1: 1}), scalars.LaurentZ({1: 1}),
+     scalars.LaurentZ({0: Fraction(1, 2), 1: 1})),
+]
+
+
+@pytest.mark.parametrize("delta, into_empty, into_half", ACCUMULATE_TABLE)
+def test_accumulate_stores_the_tower_normal_form(delta, into_empty, into_half):
+    for start, want in (({}, into_empty), ({"k": Fraction(1, 2)}, into_half)):
+        vec = dict(start)
+        accumulate(vec, "k", delta)
+        got = vec.get("k")
+        assert type(got) is type(want) and repr(got) == repr(want), (start, delta)
+        assert ("k" in vec) == (want is not None)
+
+
+def test_accumulate_drops_a_cancelled_key():
+    vec = {"k": -2, "j": 1}
+    accumulate(vec, "k", Fraction(4, 2))
+    assert vec == {"j": 1}

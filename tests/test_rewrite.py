@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from conftest import random_element_n, random_element_z, random_scalar, random_word_z
 from wmfock import fock, rewrite, scalars
-from wmfock.errors import SizeLimitError
+from wmfock.errors import FuelError, SizeLimitError
 from wmfock.expr import Element, parse
 from wmfock.rewrite import (WordClass, classify_word, default_fuel, equal_n,
                             equal_z, normalize_n, normalize_z)
@@ -194,6 +194,55 @@ def test_default_fuel_formula():
     assert default_fuel(()) == 1
 
 
+@given(st.lists(st.tuples(st.integers(min_value=-50, max_value=50), st.booleans()),
+                max_size=8).map(tuple))
+@settings(max_examples=200, deadline=None)
+def test_default_fuel_is_at_least_the_cheap_bound(word):
+    # the fold starts the default budget at 8**l and computes the exact one
+    # only past it, which is sound because the exact one is never smaller
+    assert default_fuel(word) >= 8 ** len(word)
+
+
+def _fold_steps(monkeypatch, normalize, x):
+    """Rewrite steps of normalize(x), counted on the fold's budget."""
+    count = [0]
+    spend = rewrite._Budget.spend
+
+    def counted(budget):
+        count[0] += 1
+        return spend(budget)
+
+    with monkeypatch.context() as m:
+        m.setattr(rewrite._Budget, "spend", counted)
+        normalize(x)
+    return count[0]
+
+
+def test_explicit_fuel_boundary_is_the_step_count(monkeypatch):
+    rng = Random(4242)
+    for normalize, case, lo, hi in ((normalize_z, "Z", -3, 3), (normalize_n, "N", 0, 3)):
+        for _ in range(60):
+            word = tuple((rng.randint(lo, hi), rng.random() < 0.5)
+                         for _ in range(rng.randint(1, 6)))
+            x = Element.word(case, word)
+            steps = _fold_steps(monkeypatch, normalize, x)
+            assert normalize(x, fuel=steps) == normalize(x)
+            with pytest.raises(FuelError):
+                normalize(x, fuel=steps - 1)
+
+
+def test_default_fuel_past_the_cheap_bound(monkeypatch):
+    # a(0)c(0) then a(5000) telescopes into 5,001 words, which c(5000) then
+    # meets one by one: 5,004 steps, above 8**4 but far below default_fuel
+    x = parse("a(0)c(0)a(5000)c(5000)", "Z")
+    word = next(iter(x.terms))
+    steps = _fold_steps(monkeypatch, normalize_z, x)
+    assert 8 ** 4 < steps == 5004 < default_fuel(word)
+    assert normalize_z(x) == normalize_z(x, fuel=default_fuel(word))
+    with pytest.raises(FuelError):
+        normalize_z(x, fuel=8 ** 4)
+
+
 def _act_all(x, tuples, cap):
     return [oracles.act_element("Z", x.unit, x.terms, {t: 1}, cap)
             for t in tuples]
@@ -306,6 +355,21 @@ def test_normalize_is_linear():
         lhs = normalize_z(x + y).to_element()
         rhs = normalize_z(x).to_element() + normalize_z(y).to_element()
         assert equal_z(lhs, rhs)
+
+
+@pytest.mark.parametrize("coeff", [True, 0.5, complex(0.5, -0.0), 1e999, Fraction(4, 2),
+                                   scalars.gaussian(1, -1), scalars.LaurentZ({1: 0.5})])
+def test_word_coefficients_keep_the_tower_normal_form(coeff):
+    # each output word carries mul(coeff, k): the fold may skip that multiply
+    # only where it changes nothing, so a bool or float still comes out complex
+    # and an infinite part still meets the 0j of (1+0j)
+    word = ((1, True), (1, False))                       # c(1)a(1) -> pairs 1 and 0
+    got = normalize_z(Element.word("Z", word, coeff))
+    contrib = scalars.mul(coeff, 1)
+    want = {1: scalars.add(0, contrib), 0: scalars.add(0, scalars.neg(contrib))}
+    assert repr(got.pairs) == repr(want)
+    got_n = normalize_n(Element.word("N", ((2, True),), coeff))
+    assert repr(got_n.paths) == repr({((2,), ()): scalars.add(0, contrib)})
 
 
 def test_agreement_flag_present():

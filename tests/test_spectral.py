@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from wmfock import scalars
+from wmfock import scalars, spectral
 from wmfock.expr import Case, parse
-from wmfock.fock import SparseMat, TruncSpace, build_generator, evaluate
+from wmfock.fock import (SparseMat, TruncSpace, apply_element_to_vector,
+                         build_generator, evaluate)
 from wmfock.spectral import (Polynomial, RepSpec, build_direct_sum,
                              commutant_dim, decompose, limit_residual,
                              moment_sequence, poly_element, position_element,
@@ -60,6 +61,51 @@ def test_moment_sequence_matches_pointwise():
     seq = moment_sequence(x, 8)
     assert seq == [vacuum_moment(x, k) for k in range(9)]
     assert all(isinstance(v, (int, Fraction)) for v in seq)
+
+
+def _per_order_moment(x, order):
+    """<vacuum, x^order vacuum> on a space sized for this order alone."""
+    if order == 0:
+        return 1
+    idx = x.indices()
+    if not idx:
+        u = 1
+        for _ in range(order):
+            u = scalars.mul(u, x.unit)
+        return u
+    lo = min(idx) if x.case is Case.Z else max(min(idx), 1)
+    space = TruncSpace(x.case, lo, max(idx), max(1, order * x.max_word_len()))
+    vec = {(): 1}
+    for _ in range(order):
+        vec = apply_element_to_vector(space, x, vec)
+    return vec.get((), 0)
+
+
+@pytest.mark.parametrize("text, case", [
+    ("x(1)", "Z"), ("x(1) + x(2)", "Z"), ("0.5*x(1) + c(2)", "Z"),
+    ("1/2 x(1) + 3/4 c(1)a(1) + 2I", "Z"), ("x(1) + 1/3 x(2)", "N"),
+    ("x(0) + x(1)", "N"), ("x(1) + 0.25*x(3)", "ANTI"), ("(1/2+1/3i) I", "Z"),
+])
+def test_moment_sweep_matches_per_order_moments(text, case):
+    x = parse(text, case)
+    want = [_per_order_moment(x, k) for k in range(9)]
+    assert repr(moment_sequence(x, 8)) == repr(want)
+    assert repr([vacuum_moment(x, k) for k in range(9)]) == repr(want)
+    assert moment_sequence(x, 0) == [1] and moment_sequence(x, -1) == []
+
+
+def test_moment_sweep_applies_x_once_per_order(monkeypatch):
+    calls = [0]
+    apply = spectral.apply_element_to_vector
+
+    def counted(*args):
+        calls[0] += 1
+        return apply(*args)
+
+    monkeypatch.setattr(spectral, "apply_element_to_vector", counted)
+    seq = moment_sequence(position_element(Case.Z, 1), 12)
+    assert calls[0] == 12
+    assert seq[12] == 132
 
 
 def test_moments_independent_of_index():
