@@ -44,6 +44,7 @@ from .rewrite import normalize_n, normalize_z
 from .spectral import (
     RepSpec,
     build_direct_sum,
+    check_decompose_size,
     commutant_dim,
     decompose,
     limit_residual,
@@ -367,6 +368,7 @@ def _cmd_reps(args) -> int:
         raise ValueError(f"unknown reps action {args.action!r}")
     spec = _load_json_arg(args.spec)
     comps = _reps_components(spec)
+    check_decompose_size(spec["d"], spec["particles"], comps, spec.get("zeroDim", 0))
     gens, meta = build_direct_sum(spec["d"], spec["particles"], comps,
                                   zero_dim=spec.get("zeroDim", 0))
     result = decompose(gens)

@@ -16,18 +16,17 @@ from fractions import Fraction
 from typing import Dict, Optional, Sequence
 
 from . import scalars
-from .errors import SizeLimitError
+from .errors import InternalConsistencyError, SizeLimitError
 from .expr import Case, Element, Word
 from .fock import (
     BasisTuple,
     TruncSpace,
     accumulate,
     apply_element_to_vector,
-    columns_matrix,
+    column_action,
     creator_tuple,
     evaluate,
     interior_tuples,
-    operator_norm,
     vector_norm_sq,
 )
 from .rewrite import classify_word, normalize_z
@@ -54,6 +53,13 @@ def cesaro_average(x: Element, n: int) -> Element:
 
 @dataclass(frozen=True)
 class CesaroCheck:
+    """The outcome of check_cesaro_bound.
+
+    ``norm_lower`` is the exact operator norm of the average on the interior
+    columns (a lower bound for the untruncated norm), rounded to a float
+    only by its final square root; ``columns`` counts those columns.
+    """
+
     n: int
     bound: float
     norm_lower: float
@@ -67,9 +73,21 @@ def check_cesaro_bound(space: TruncSpace, word_element: Element, n: int,
 
     The average is evaluated on interior columns only, where truncation is
     invisible, so its operator norm there bounds the untruncated norm from
-    below; the check asserts that even this certified lower bound respects
-    the 1/sqrt(n) estimate.  The matrix rows span the whole space, so a
-    space above its dimension cap raises SizeLimitError before averaging.
+    below; the check asserts that even this lower bound respects the
+    1/sqrt(n) estimate.
+
+    The norm is exact, from the support of the columns alone.  Each shift
+    tau^k(w) of the lambda word w has its own first letter, so for a word
+    made only of creators the images of one column lead with distinct
+    letters and every row holds at most one entry, while a word with an
+    annihilator acts on a column only for the one k that matches the
+    column's first index, so every column holds at most one entry.  Every
+    entry is c/n for the word's coefficient c, so A*A (or AA*) is diagonal
+    and ||avg||^2 = |c/n|^2 * max(most entries in one column, most entries
+    in one row).  Columns of neither pattern, or an entry other than c/n,
+    raise InternalConsistencyError.  A space above its dimension cap raises
+    SizeLimitError before averaging, and a window too small for the shifts
+    raises WindowError.
     """
     if len(word_element.terms) != 1 or not scalars.is_zero(word_element.unit):
         raise ValueError("the Cesaro bound applies to a single word")
@@ -79,12 +97,31 @@ def check_cesaro_bound(space: TruncSpace, word_element: Element, n: int,
     if space.dimension > space.cap:
         raise SizeLimitError(f"space dimension {space.dimension} exceeds cap {space.cap}")
     avg = cesaro_average(word_element, n)
+    space.check_indices(avg)
+    entry = avg.terms[word]  # c/n, the coefficient every shift carries
     margin = avg.max_surplus()
-    cols = list(interior_tuples(space, margin, 0))
-    mat = columns_matrix(space, avg, cols)
-    norm = operator_norm(mat) if not mat.is_zero() else 0.0
+    per_row: Dict[BasisTuple, int] = {}
+    most_in_col = 0
+    columns = 0
+    for t in interior_tuples(space, margin, 0):
+        columns += 1
+        col = column_action(space, avg, t)
+        if len(col) > most_in_col:
+            most_in_col = len(col)
+        for img, v in col.items():
+            if v != entry:
+                raise InternalConsistencyError(
+                    f"Cesaro average entry {scalars.to_text(v)} at column {t}, "
+                    f"expected {scalars.to_text(entry)}")
+            per_row[img] = per_row.get(img, 0) + 1
+    most_in_row = max(per_row.values(), default=0)
+    if most_in_col > 1 and most_in_row > 1:
+        raise InternalConsistencyError(
+            f"Cesaro average has {most_in_col} entries in one column and {most_in_row} "
+            "in one row; its columns are neither row- nor column-disjoint")
+    norm = math.sqrt(float(scalars.abs2(entry) * max(most_in_col, most_in_row)))
     bound = 1.0 / math.sqrt(n) + tol
-    return CesaroCheck(n, bound, norm, len(cols), norm <= bound)
+    return CesaroCheck(n, bound, norm, columns, norm <= bound)
 
 
 @dataclass(frozen=True)

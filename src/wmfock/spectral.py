@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import scalars
-from .errors import WindowError
+from .errors import SizeLimitError, WindowError
 from .expr import Case, Element
 from .fock import (
     BasisTuple,
@@ -38,6 +38,19 @@ from .fock import (
 )
 from .exactla import nullspace
 from .reports import EXACT_ZERO, Instance, Report
+
+# moment_sequence refuses, before any work, a sweep whose order times the
+# larger of the order and the number of basis tuples it can reach exceeds
+# this; x(1) to order 447 takes about a second, and entries grow with order
+MOMENTS_MAX_WORK = 200_000
+
+# decompose runs d + 1 SVDs, each of d stacked dense n x n adjoints, so reps
+# decompose refuses, before building it, a direct sum of dimension n above
+# DECOMPOSE_MAX_DIM or with (d + 1) * d * max(n, 12)**3 above
+# DECOMPOSE_MAX_WORK (below 12 rows a block costs about as much as one of
+# 12); a call near either bound takes one to two seconds
+DECOMPOSE_MAX_DIM = 300
+DECOMPOSE_MAX_WORK = 1_000_000_000
 
 
 # --- the three-term polynomial family --------------------------------------
@@ -112,10 +125,14 @@ def moment_sequence(x: Element, max_order: int) -> List:
 
     The window and particle cap are sized from x and max_order so truncation
     never touches any power; x is applied max_order times in all, and each
-    moment is the vacuum entry after its step.
+    moment is the vacuum entry after its step.  SizeLimitError is raised
+    before any work when max_order times the larger of max_order and the
+    dimension of that space exceeds MOMENTS_MAX_WORK.
     """
     if max_order < 0:
         return []
+    if max_order * max_order > MOMENTS_MAX_WORK:
+        _refuse_moments(max_order, None)
     out = [1]
     idx = x.indices()
     if not idx or max_order == 0:
@@ -126,11 +143,21 @@ def moment_sequence(x: Element, max_order: int) -> List:
     if x.case is not Case.Z:
         lo = max(lo, 1)
     space = TruncSpace(x.case, lo, hi, max(1, max_order * x.max_word_len()))
+    if max_order * space.dimension > MOMENTS_MAX_WORK:
+        _refuse_moments(max_order, space.dimension)
     vec: Dict[BasisTuple, scalars.Scalar] = {(): 1}
     for _ in range(max_order):
         vec = apply_element_to_vector(space, x, vec)
         out.append(vec.get((), 0))
     return out
+
+
+def _refuse_moments(max_order: int, tuples: Optional[int]) -> None:
+    reach = "" if tuples is None else f" over {tuples} basis tuples"
+    work = max_order * max(max_order, tuples or 0)
+    raise SizeLimitError(f"moments to order {max_order}{reach} need {work} steps (the order "
+                         "times the larger of the order and the tuples), above the bound "
+                         f"of {MOMENTS_MAX_WORK}")
 
 
 # --- the polynomial family on the truncated space ---------------------------
@@ -174,8 +201,9 @@ def limit_residual(space: TruncSpace, n_window: int, xi: BasisTuple) -> float:
     """|| average of squared positions applied to xi minus T xi ||.
 
     T is the vacuum projection plus half the complement; the average runs
-    over indices -n_window..n_window.  All vector arithmetic is exact, only
-    the final square root is floating point.
+    over indices -n_window..n_window, each square applied to xi as the
+    position element twice.  All vector arithmetic is exact, only the final
+    square root is floating point.
     """
     if space.case is not Case.Z:
         raise ValueError("the averaged-square limit lives on the integer case")
@@ -191,8 +219,9 @@ def limit_residual(space: TruncSpace, n_window: int, xi: BasisTuple) -> float:
     acc: Dict[BasisTuple, scalars.Scalar] = {}
     start: Dict[BasisTuple, scalars.Scalar] = {xi: 1}
     for i in range(-n_window, n_window + 1):
-        sq = position_element(Case.Z, i)
-        for t, v in apply_element_to_vector(space, sq * sq, start).items():
+        x = position_element(Case.Z, i)
+        once = apply_element_to_vector(space, x, start)
+        for t, v in apply_element_to_vector(space, x, once).items():
             accumulate(acc, t, v)
     scale = Fraction(1, count)
     resid: Dict[BasisTuple, scalars.Scalar] = {t: scalars.mul(scale, v) for t, v in acc.items()}
@@ -410,10 +439,7 @@ def build_direct_sum(d: int, particles: int,
     """
     blocks: List[Tuple[RepSpec, int]] = []
     for level, phase, mult in components:
-        if not (0 <= level < d):
-            raise ValueError("component level must satisfy 0 <= level < d")
-        if mult < 1:
-            raise ValueError("multiplicity must be positive")
+        _check_component(d, level, mult)
         sp = TruncSpace(Case.N, 1, d - level, particles)
         sp.materialize()
         for _ in range(mult):
@@ -437,11 +463,61 @@ def build_direct_sum(d: int, particles: int,
     return gens, meta
 
 
+def _check_component(d: int, level: int, mult: int) -> None:
+    if not (0 <= level < d):
+        raise ValueError("component level must satisfy 0 <= level < d")
+    if mult < 1:
+        raise ValueError("multiplicity must be positive")
+
+
+def check_decompose_size(d: int, particles: int,
+                         components: Sequence[Tuple[int, object, int]],
+                         zero_dim: int = 0) -> int:
+    """The dimension of build_direct_sum's space, in closed form, checked
+    against DECOMPOSE_MAX_DIM and DECOMPOSE_MAX_WORK before anything is built.
+
+    The level-k block is the natural-index window [1, d - k] with at most
+    `particles` particles, so it holds C(d - k + particles, particles) tuples
+    (the sum of its level dimensions), and the direct sum has dimension
+    sum(mult * block) + zero_dim.  Each binomial is built factor by factor
+    and abandoned once it passes DECOMPOSE_MAX_DIM, so no spec makes this
+    check slow.  Raises SizeLimitError past either bound, and ValueError
+    for a component build_direct_sum would reject.
+    """
+    if particles < 0:
+        raise ValueError("particle truncation must be >= 0")
+    dim = zero_dim
+    for level, _, mult in components:
+        _check_component(d, level, mult)
+        # C(w + p, k) with k = min(w, p) as C(m + j, j) for j = 1..k, m = max(w, p)
+        w = d - level
+        m, k = max(w, particles), min(w, particles)
+        block = 1
+        for j in range(1, k + 1):
+            block = block * (m + j) // j
+            if block > DECOMPOSE_MAX_DIM:
+                break
+        dim += mult * block
+    if dim > DECOMPOSE_MAX_DIM:
+        raise SizeLimitError(f"the direct sum's dimension exceeds the decompose bound of "
+                             f"{DECOMPOSE_MAX_DIM}")
+    work = (d + 1) * d * max(dim, 12) ** 3
+    if work > DECOMPOSE_MAX_WORK:
+        raise SizeLimitError(f"decomposing a direct sum of dimension {dim} with d = {d} "
+                             f"needs (d + 1) * d * max(dim, 12)**3 = {work}, above the "
+                             f"bound of {DECOMPOSE_MAX_WORK}")
+    return dim
+
+
 def _nullspace_dense(a: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-    """Orthonormal basis (columns) of the nullspace of a."""
+    """Orthonormal basis (columns) of the nullspace of a.
+
+    With at least as many rows as columns the thin SVD already holds every
+    row of vt, so the full one (and its square u) is taken only for a wide a.
+    """
     if a.shape[0] == 0:
         return np.eye(a.shape[1], dtype=complex)
-    _, s, vt = np.linalg.svd(a)
+    _, s, vt = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
     cut = tol * max(1.0, s[0] if len(s) else 0.0)
     rank = int(np.sum(s > cut))
     return vt[rank:].conj().T
@@ -457,17 +533,46 @@ def _orth_columns(a: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     return u[:, :rank]
 
 
+def _reachable_dim(dense: Sequence[np.ndarray], vacua: List[np.ndarray]) -> int:
+    """Dimension of the smallest subspace holding the vacua and invariant
+    under every generator and its adjoint.
+
+    The span grows by rounds.  A generator maps the part of the span that
+    was there before the last round into the span already, so a round only
+    applies the generators and adjoints to the directions the last round
+    added, and keeps what of their images is orthogonal to the span.  The
+    loop stops when a round adds nothing or the span fills the space.
+    """
+    n = dense[0].shape[0]
+    span = _orth_columns(np.column_stack(vacua))
+    added = span
+    while added.shape[1] and span.shape[1] < n:
+        grown = []
+        for mat in dense:
+            grown.append(mat @ added)
+            grown.append(mat.conj().T @ added)
+        fresh = np.hstack(grown)
+        for _ in range(2):  # twice, so rounding cannot leave a component in the span
+            fresh = fresh - span @ (span.conj().T @ fresh)
+        added = _orth_columns(fresh)
+        span = np.hstack([span, added])
+    return span.shape[1]
+
+
 def decompose(gens: Sequence[SparseMat], normal_tol: float = 1e-9,
               cluster_tol: float = 1e-6) -> DecomposeResult:
     """Recover (level, phase, multiplicity) data from direct-sum generators.
 
     For each candidate level k the joint kernel of the other generators'
-    adjoints is computed; the k-th generator restricted there is the phase
-    on the block vacua plus a nilpotent ghost from other levels, which the
-    iterated-range projection removes.  The cleaned restriction must be
-    normal within normal_tol; its eigenvalue clusters give the phases and
-    multiplicities, and anything not reachable from the recovered vacua
-    counts toward residual_dim.
+    adjoints is computed (a thin SVD of their stacked adjoints); the k-th
+    generator restricted there is the phase on the block vacua plus a
+    nilpotent ghost from other levels, which the iterated-range projection
+    removes.  The cleaned restriction must be normal within normal_tol; its
+    eigenvalue clusters give the phases and multiplicities.  The span
+    reachable from the recovered vacua under the generators and their
+    adjoints is grown only from the directions each round adds, and what
+    lies outside it counts toward residual_dim; details["reachableDim"] is
+    its dimension, and nothing else depends on that loop.
     """
     if not gens:
         raise ValueError("need at least one generator")
@@ -512,21 +617,7 @@ def decompose(gens: Sequence[SparseMat], normal_tol: float = 1e-9,
             components.append(RepComponent(k, phase, len(cl)))
             for i in cl:
                 vacua.append(basis @ (clean @ vecs[:, i]))
-    if vacua:
-        span = _orth_columns(np.column_stack(vacua))
-        while True:
-            grown = [span]
-            for mat in dense:
-                grown.append(mat @ span)
-                grown.append(mat.conj().T @ span)
-            new_span = _orth_columns(np.hstack(grown))
-            if new_span.shape[1] == span.shape[1]:
-                span = new_span
-                break
-            span = new_span
-        reachable = span.shape[1]
-    else:
-        reachable = 0
+    reachable = _reachable_dim(dense, vacua) if vacua else 0
     components.sort(key=lambda c: (c.level, cmath.phase(c.phase)))
     return DecomposeResult(components, n - reachable,
                            {"dim": n, "levels": per_level, "reachableDim": reachable})

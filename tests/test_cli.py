@@ -110,6 +110,8 @@ def test_cesaro_bound():
     assert inst["id"] == "bound[n=4]"
     assert inst["pass"] is True
     assert inst["discrepancy"] <= inst["details"]["bound"]
+    # the discrepancy is the exact norm of the average, 1/sqrt(n)
+    assert inst["discrepancy"] == 0.5
 
 
 def test_limit_vacuum():
@@ -286,6 +288,12 @@ def test_certificate_float_coefficient():
     (("cesaro", "--word", "(" * 2000 + "c(1)" + ")" * 2000, "--n", "4"), b"nested deeper"),
     (("cesaro", "--word", "c(1)", "--n", "100000"), b"exceeds cap"),
     (("nonconvergence", "--n", "100000"), b"word evaluations"),
+    (("moments", "--expr", "x(1)", "--max-order", "100000"), b"above the bound"),
+    (("moments", "--expr", "x(1) + x(2) + x(3)", "--max-order", "40"), b"above the bound"),
+    (("reps", "decompose", "--spec",
+      '{"d":3,"particles":100000,"components":[{"level":0,"phase":1}]}'), b"decompose bound"),
+    (("reps", "decompose", "--spec", '{"d":100000,"particles":0,"components":[]}'),
+     b"above the bound"),
 ])
 def test_numeric_and_spec_faults_exit_2(args, expected):
     code, out, err = run_cli(*args)

@@ -6,13 +6,16 @@ from random import Random
 
 import pytest
 
+import oracles
 from conftest import random_element_z
-from wmfock.errors import SizeLimitError
+from wmfock import ergodic
+from wmfock.errors import InternalConsistencyError, SizeLimitError, WindowError
 from wmfock.ergodic import (cesaro_average, check_cesaro_bound,
                             check_creator_sum_estimate, check_nonconvergence,
                             fixed_point_check, omega_t, vacuum_certificate)
-from wmfock.expr import Element, parse
-from wmfock.fock import TruncSpace, apply_element_to_vector
+from wmfock.expr import Case, Element, parse
+from wmfock.fock import (TruncSpace, apply_element_to_vector, columns_matrix,
+                         interior_tuples)
 from wmfock.rewrite import equal_z, normalize_z
 from wmfock import scalars as sc
 
@@ -87,6 +90,65 @@ def test_cesaro_bound_annihilator():
     chk = check_cesaro_bound(space, parse("a(2)", "Z"), 9)
     assert chk.passed
     assert chk.norm_lower <= Fraction(1, 3) + 1e-9
+
+
+def _cesaro_space(word, particles, n):
+    """The window the cesaro subcommand uses: the word's indices and n - 1 shifts."""
+    idx = [i for i, _ in word]
+    return TruncSpace("Z", min(idx), max(idx) + n - 1, particles)
+
+
+# (word, particle cap): creators only, annihilators only, and mixed; the caps
+# keep the interior matrices small enough for a dense SVD at n = 64
+CESARO_WORDS = [
+    (((2, True), (1, True)), 3),
+    (((2, False),), 2),
+    (((1, False), (3, False)), 2),
+    (((4, True), (1, False), (2, False)), 2),
+]
+
+
+@pytest.mark.parametrize("word, particles", CESARO_WORDS)
+@pytest.mark.parametrize("coeff", [Fraction(-2, 3), sc.gaussian(Fraction(1, 2), Fraction(-3, 4))])
+@pytest.mark.parametrize("n", [1, 4, 16, 64])
+def test_cesaro_norm_is_exact(word, particles, coeff, n):
+    # the norm from the support pattern against a dense SVD of the interior
+    # matrix, restricted to its nonzero rows and columns (the norm is the same)
+    space = _cesaro_space(word, particles, n)
+    x = Element(Case.Z, 0, {word: coeff})
+    chk = check_cesaro_bound(space, x, n)
+    avg = cesaro_average(x, n)
+    cols = list(interior_tuples(space, avg.max_surplus(), 0))
+    mat = columns_matrix(space, avg, cols)
+    rows = sorted({r for r, _ in mat.entries})
+    used = sorted({c for _, c in mat.entries})
+    want = oracles.svd_norm(oracles.dense(mat.submatrix(rows=rows, cols=used)))
+    assert chk.columns == len(cols)
+    assert abs(chk.norm_lower - want) <= 1e-12
+    assert chk.passed == (chk.norm_lower <= chk.bound)
+
+
+def test_cesaro_norm_pins():
+    chk = check_cesaro_bound(TruncSpace("Z", 1, 64, 2), parse("c(1)", "Z"), 64)
+    assert chk.norm_lower == 0.125 and chk.columns == 65
+    chk = check_cesaro_bound(TruncSpace("Z", 1, 12, 2), parse("a(2)", "Z"), 9)
+    assert chk.norm_lower == 1 / 3
+
+
+def test_cesaro_support_faults(monkeypatch):
+    space = TruncSpace("Z", 1, 8, 2)
+    x = parse("c(1)", "Z")
+    with pytest.raises(WindowError):
+        check_cesaro_bound(TruncSpace("Z", 1, 3, 2), x, 5)  # c(5) leaves [1, 3]
+    entry = Fraction(1, 4)
+    # two entries in every column, all in the same two rows
+    monkeypatch.setattr(ergodic, "column_action",
+                        lambda sp, avg, t: {(7,): entry, (8,): entry})
+    with pytest.raises(InternalConsistencyError, match="neither"):
+        check_cesaro_bound(space, x, 4)
+    monkeypatch.setattr(ergodic, "column_action", lambda sp, avg, t: {t: 2 * entry})
+    with pytest.raises(InternalConsistencyError, match="expected 1/4"):
+        check_cesaro_bound(space, x, 4)
 
 
 def test_cesaro_bound_rejects_non_lambda():

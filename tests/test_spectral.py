@@ -2,18 +2,22 @@
 
 import cmath
 import hashlib
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
 from wmfock import scalars, spectral
+from wmfock.errors import SizeLimitError
 from wmfock.expr import Case, parse
 from wmfock.fock import (SparseMat, TruncSpace, apply_element_to_vector,
                          build_generator, evaluate)
 from wmfock.spectral import (Polynomial, RepSpec, build_direct_sum,
-                             commutant_dim, decompose, limit_residual,
+                             check_decompose_size, commutant_dim, decompose,
+                             limit_residual,
                              moment_sequence, poly_element, position_element,
                              recurrence_family, rep_matrix, vacuum_moment,
                              verify_qn, verify_rep)
@@ -154,6 +158,25 @@ def test_limit_residual_excited_vector():
         count = 2 * N + 1
         bound = abs(0.5 - (N - 2) / count) + (N - 2) ** 0.5 / count + 2 / count
         assert r <= bound + 1e-12
+
+
+def _squared_position_residual(space, n_window, xi):
+    """limit_residual with each square applied as the element x * x."""
+    acc = {}
+    for i in range(-n_window, n_window + 1):
+        sq = position_element(Case.Z, i)
+        for t, v in apply_element_to_vector(space, sq * sq, {xi: 1}).items():
+            acc[t] = scalars.add(acc.get(t, 0), v)
+    resid = {t: v * Fraction(1, 2 * n_window + 1) for t, v in acc.items()}
+    resid[xi] = resid.get(xi, 0) - (1 if xi == () else Fraction(1, 2))
+    return math.sqrt(float(sum(scalars.abs2(v) for v in resid.values())))
+
+
+@pytest.mark.parametrize("n_window, xi", [(3, ()), (5, (2,)), (4, (3, 1, -2)), (6, (0, 0))])
+def test_limit_residual_matches_squared_element(n_window, xi):
+    space = TruncSpace("Z", -n_window, n_window, len(xi) + 2)
+    assert limit_residual(space, n_window, xi) == \
+        _squared_position_residual(space, n_window, xi)
 
 
 def test_limit_residual_guards():
@@ -341,6 +364,113 @@ def test_decompose_round_trip_random():
                       c.multiplicity) for c in result.components)
         assert got == want
         assert result.residual_dim == 0
+
+
+def _full_nullspace(a, tol=1e-9):
+    """_nullspace_dense as it was: always the full SVD."""
+    if a.shape[0] == 0:
+        return np.eye(a.shape[1], dtype=complex)
+    _, s, vt = np.linalg.svd(a)
+    cut = tol * max(1.0, s[0] if len(s) else 0.0)
+    rank = int(np.sum(s > cut))
+    return vt[rank:].conj().T
+
+
+def _iterated_range_dim(dense, vacua):
+    """The reachable span as it was computed: every generator and adjoint
+    applied to the whole span, until a round adds nothing."""
+    span = spectral._orth_columns(np.column_stack(vacua))
+    while True:
+        grown = [span]
+        for mat in dense:
+            grown.append(mat @ span)
+            grown.append(mat.conj().T @ span)
+        new_span = spectral._orth_columns(np.hstack(grown))
+        if new_span.shape[1] == span.shape[1]:
+            return new_span.shape[1]
+        span = new_span
+
+
+# int, Gaussian-rational and float phases
+PHASES = [1, -1, scalars.gaussian(0, 1), scalars.gaussian(Fraction(3, 5), Fraction(-4, 5)),
+          scalars.gaussian(Fraction(-5, 13), Fraction(12, 13)), -1.0, complex(0.6, 0.8),
+          cmath.exp(2j * cmath.pi / 8)]
+
+
+@st.composite
+def direct_sums(draw):
+    d = draw(st.integers(1, 3))
+    particles = draw(st.integers(1, 3))
+    comps = draw(st.lists(st.tuples(st.integers(0, d - 1), st.sampled_from(PHASES),
+                                    st.integers(1, 2)), min_size=1, max_size=3))
+    return d, particles, comps, draw(st.integers(0, 3))
+
+
+@given(direct_sums())
+@settings(max_examples=40, deadline=None)
+def test_decompose_matches_full_svd_and_iterated_range(spec):
+    d, particles, comps, zero_dim = spec
+    gens, meta = build_direct_sum(d, particles, comps, zero_dim)
+    assert check_decompose_size(d, particles, comps, zero_dim) == meta["dim"]
+    seen = []
+    thin, reach = spectral._nullspace_dense, spectral._reachable_dim
+
+    def nullspace_spy(a, tol=1e-9):
+        got = thin(a, tol)
+        assert np.array_equal(got, _full_nullspace(a, tol))
+        seen.append(a.shape)
+        return got
+
+    def reach_spy(dense, vacua):
+        got = reach(dense, vacua)
+        assert got == _iterated_range_dim(dense, vacua)
+        return got
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral, "_nullspace_dense", nullspace_spy)
+        mp.setattr(spectral, "_reachable_dim", reach_spy)
+        result = decompose(gens)
+    assert len(seen) == d + 1 and all(rows >= cols for rows, cols in seen)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral, "_nullspace_dense", _full_nullspace)
+        mp.setattr(spectral, "_reachable_dim", _iterated_range_dim)
+        want = decompose(gens)
+    assert repr(result.components) == repr(want.components)
+    assert result.details == want.details
+    assert result.residual_dim == want.residual_dim
+
+
+def test_decompose_size_bounds():
+    # the closed form agrees with the built sum, and the bounds fire before
+    # any block is built, however large the spec
+    for d, particles, comps, zero_dim in [(3, 3, [(0, 1j, 1), (1, -1, 2)], 0),
+                                          (4, 2, [(3, 1, 2)], 5), (2, 0, [(1, 1, 3)], 1)]:
+        _, meta = build_direct_sum(d, particles, comps, zero_dim)
+        assert check_decompose_size(d, particles, comps, zero_dim) == meta["dim"]
+    assert check_decompose_size(1, 299, [(0, 1, 1)]) == spectral.DECOMPOSE_MAX_DIM
+    for d, particles, comps, zero_dim, match in [
+            (1, 300, [(0, 1, 1)], 0, "dimension exceeds"),
+            (3, 10 ** 100, [(0, 1, 1)], 0, "dimension exceeds"),
+            (10 ** 100, 10 ** 100, [(0, 1, 1)], 0, "dimension exceeds"),
+            (3, 3, [], 301, "dimension exceeds"),
+            (7, 2, [(0, 1, 7)], 33, "above the bound"),
+            (10 ** 6, 0, [], 0, "above the bound")]:
+        with pytest.raises(SizeLimitError, match=match):
+            check_decompose_size(d, particles, comps, zero_dim)
+    with pytest.raises(ValueError, match="0 <= level < d"):
+        check_decompose_size(3, 3, [(3, 1, 1)])
+    with pytest.raises(ValueError, match="multiplicity"):
+        check_decompose_size(3, 3, [(0, 1, 0)])
+
+
+def test_moment_sweep_bound():
+    bound = spectral.MOMENTS_MAX_WORK
+    top = math.isqrt(bound)
+    assert len(moment_sequence(parse("2I", "Z"), top)) == top + 1
+    for text, order in [("2I", top + 1), ("x(1)", top + 1), ("x(1)", 10 ** 9),
+                        ("x(1) + x(2) + x(3)", 40)]:
+        with pytest.raises(SizeLimitError, match="above the bound"):
+            moment_sequence(parse(text, "Z"), order)
 
 
 @given(st.integers(min_value=0, max_value=10))
