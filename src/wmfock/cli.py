@@ -4,6 +4,11 @@ Every subcommand prints one JSON report to stdout (or CSV where a sweep is
 more natural).  Exit codes: 0 all checks passed, 1 a verification failed,
 2 usage or input error, 3 internal cross-check disagreement.
 
+A ``_cmd_*`` function returns its result (a Report, the JSON-ready dict of
+``rewrite`` and ``moments``, or a Csv table) and neither reads the clock nor
+prints; ``main`` alone times it, renders it, prints once and picks the exit
+code.  ``_load_json_arg`` reads and checks every JSON spec.
+
 ``main`` can be called again in the same process: every call shares one
 argument parser, built on the first call.
 """
@@ -12,13 +17,14 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import re
 import sys
 import time
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from . import scalars
 from .errors import (
@@ -38,10 +44,11 @@ from .ergodic import (
 )
 from .exel_laca import ELKind, ELMatrixSpec, verify_el_suite
 from .expr import Case, ParseError, parse, word_str
-from .fock import TruncSpace
+from .fock import TruncSpace, evaluate
 from .reports import EXACT_ZERO, Instance, Report, csv_render, jsonify
 from .rewrite import normalize_n, normalize_z
 from .spectral import (
+    COMMUTANT_MAX_DIM,
     RepSpec,
     build_direct_sum,
     check_decompose_size,
@@ -88,38 +95,31 @@ def _parse_scalar(text: str):
     raise ValueError(f"--t must be an integer, p/q or a finite number, got {text!r}")
 
 
-def _finish(report: Report, started: float) -> int:
-    report.runtime_millis = int((time.monotonic() - started) * 1000)
-    print(report.render())
-    return 0 if report.passed else CHECK_FAILED
+class Csv(NamedTuple):
+    """A command's CSV table, with the pass flag that picks the exit code."""
+    headers: List[str]
+    rows: List[List[object]]
+    passed: bool = True
 
 
-def _cmd_rewrite(args) -> int:
-    started = time.monotonic()
-    case = Case.coerce(args.case.upper())
+def _cmd_rewrite(args) -> dict:
+    case = Case.coerce(args.case)
     x = parse(args.expr, case)
     log: Optional[list] = [] if args.show_steps else None
-    out = {"case": case.value, "input": args.expr}
+    # the parser admits only the z and n cases
+    nf = (normalize_z if case is Case.Z else normalize_n)(x, log=log)
+    out = {"case": case.value, "input": args.expr,
+           "normalForm": str(nf.to_element()), "unit": jsonify(nf.unit)}
     if case is Case.Z:
-        nf = normalize_z(x, log=log)
-        out["normalForm"] = str(nf.to_element())
-        out["unit"] = jsonify(nf.unit)
         out["lambdaTerms"] = {word_str(w): jsonify(c)
                               for w, c in sorted(nf.lam.items(), key=lambda kv: (len(kv[0]), kv[0]))}
         out["pairTerms"] = {str(i): jsonify(c) for i, c in sorted(nf.pairs.items())}
-    elif case is Case.N:
-        nf = normalize_n(x, log=log)
-        out["normalForm"] = str(nf.to_element())
-        out["unit"] = jsonify(nf.unit)
+    else:
         out["pathTerms"] = {_path_label(mu, nu): jsonify(c)
                             for (mu, nu), c in sorted(nf.paths.items())}
-    else:
-        raise ValueError("rewriting is defined for the z and n cases")
     if log is not None:
         out["steps"] = log
-    out["runtimeMillis"] = int((time.monotonic() - started) * 1000)
-    print(json.dumps(out, indent=2))
-    return 0
+    return out
 
 
 def _path_label(mu, nu) -> str:
@@ -127,69 +127,65 @@ def _path_label(mu, nu) -> str:
     return "".join(parts) if parts else "I"
 
 
-def _cmd_verify(args) -> int:
-    started = time.monotonic()
+def _cmd_verify(args) -> Report:
     lo, hi = _parse_window(args.window)
     if args.suite == "relations-z":
-        space = TruncSpace(Case.Z, lo, hi, args.particles)
-        report = relations_z_suite(space, depth=args.depth)
-    elif args.suite == "exel-laca":
-        case_kind = ELKind.WM_Z if lo < 1 else ELKind.WM_N
-        spec = ELMatrixSpec(case_kind)
+        return relations_z_suite(TruncSpace(Case.Z, lo, hi, args.particles), depth=args.depth)
+    if args.suite == "anti":
+        return anti_suite(TruncSpace(Case.ANTI, lo, hi, args.particles))
+    if args.suite == "exel-laca":
+        spec = ELMatrixSpec(ELKind.WM_Z if lo < 1 else ELKind.WM_N)
         space = TruncSpace(spec.case, lo, hi, args.particles)
-        depth = args.depth
-        universe = range(lo + depth, hi - depth + 1)
-        pairs = None
-        if args.family:
-            with open(args.family, "r", encoding="utf-8") as fh:
-                fam = json.load(fh)
-            pairs = [(p["X"], p["Y"]) for p in fam["pairs"]]
-        report = verify_el_suite(space, spec, list(universe),
-                                 max_size=args.max_size, pairs=pairs)
-    elif args.suite == "rep-n":
-        if lo != 1:
-            raise ValueError("rep-n windows start at 1")
-        space = TruncSpace(Case.N, 1, hi, args.particles)
-        report = Report(suite="rep-n", config={"window": [1, hi],
-                                               "particles": args.particles,
-                                               "levels": args.levels,
-                                               "maxIndex": args.max_index or hi})
-        for level in (int(v) for v in args.levels.split(",")):
-            sub = verify_rep(RepSpec(level, "formal", space), args.max_index or hi)
-            for inst in sub.instances:
-                report.add(Instance(f"level{level}:{inst.id}", inst.passed,
-                                    inst.discrepancy, inst.details))
-    elif args.suite == "anti":
-        space = TruncSpace(Case.ANTI, lo, hi, args.particles)
-        report = anti_suite(space)
-    else:
-        raise ValueError(f"unknown suite {args.suite!r}")
-    return _finish(report, started)
+        pairs = _family_pairs(args.family) if args.family else None
+        universe = list(range(lo + args.depth, hi - args.depth + 1))
+        if not universe:
+            raise ValueError("window too small for the requested depth")
+        return verify_el_suite(space, spec, universe, max_size=args.max_size, pairs=pairs)
+    # rep-n, the last suite the parser admits
+    if lo != 1:
+        raise ValueError("rep-n windows start at 1")
+    space = TruncSpace(Case.N, 1, hi, args.particles)
+    report = Report(suite="rep-n", config={"window": [1, hi],
+                                           "particles": args.particles,
+                                           "levels": args.levels,
+                                           "maxIndex": args.max_index or hi})
+    for level in (int(v) for v in args.levels.split(",")):
+        sub = verify_rep(RepSpec(level, "formal", space), args.max_index or hi)
+        for inst in sub.instances:
+            report.add(Instance(f"level{level}:{inst.id}", inst.passed,
+                                inst.discrepancy, inst.details))
+    return report
 
 
-def _cmd_moments(args) -> int:
-    started = time.monotonic()
+def _family_pairs(text: str) -> List[Tuple[List[int], List[int]]]:
+    """The (X, Y) pairs of an exel-laca --family spec."""
+    pairs = _load_json_arg(text, "family spec", ("pairs",))["pairs"]
+    if not (isinstance(pairs, list) and all(
+            isinstance(p, dict) and all(isinstance(p.get(k), list) and all(map(_is_int, p[k]))
+                                        for k in ("X", "Y"))
+            for p in pairs)):
+        raise ValueError("family spec: 'pairs' must be a list of objects whose 'X' and 'Y' "
+                         f"are lists of ints, got {pairs!r}")
+    return [(p["X"], p["Y"]) for p in pairs]
+
+
+def _cmd_moments(args):
     if args.max_order < 0:
         raise ValueError(f"--max-order must be >= 0, got {args.max_order}")
-    x = parse(args.expr, Case.coerce(args.case.upper()))
+    x = parse(args.expr, Case.coerce(args.case))
     seq = moment_sequence(x, args.max_order)
     if args.csv:
-        print(csv_render(["order", "moment"],
-                         [[k, scalars.to_text(v) if not isinstance(v, int) else v]
-                          for k, v in enumerate(seq)]), end="")
-        return 0
-    out = {
+        return Csv(["order", "moment"],
+                   [[k, scalars.to_text(v) if not isinstance(v, int) else v]
+                    for k, v in enumerate(seq)])
+    return {
         "suite": "moments",
         "config": {"expr": args.expr, "maxOrder": args.max_order},
         "moments": [jsonify(v) for v in seq],
-        "runtimeMillis": int((time.monotonic() - started) * 1000),
     }
-    print(json.dumps(out, indent=2))
-    return 0
 
 
-def _cmd_cesaro(args) -> int:
-    started = time.monotonic()
+def _cmd_cesaro(args) -> Report:
     x = parse(args.word, Case.Z)
     idx = x.indices()
     if not idx:
@@ -202,11 +198,10 @@ def _cmd_cesaro(args) -> int:
                             "particles": space.trunc})
     report.add(Instance(f"bound[n={args.n}]", chk.passed, chk.norm_lower,
                         {"bound": chk.bound, "columns": chk.columns}))
-    return _finish(report, started)
+    return report
 
 
-def _cmd_limit(args) -> int:
-    started = time.monotonic()
+def _cmd_limit(args):
     xi = _parse_tuple(args.vector)
     ns = [int(v) for v in str(args.N).split(",")]
     rows: List[List[object]] = []
@@ -225,14 +220,10 @@ def _cmd_limit(args) -> int:
             ok = True
         rows.append([n, resid])
         report.add(Instance(f"residual[N={n}]", ok, resid, details))
-    if args.csv:
-        print(csv_render(["N", "residual"], rows), end="")
-        return 0 if report.passed else CHECK_FAILED
-    return _finish(report, started)
+    return Csv(["N", "residual"], rows, report.passed) if args.csv else report
 
 
-def _cmd_states(args) -> int:
-    started = time.monotonic()
+def _cmd_states(args) -> Report:
     x = parse(args.expr, Case.Z)
     t = _parse_scalar(args.t)
     value = omega_t(x, t)
@@ -243,23 +234,21 @@ def _cmd_states(args) -> int:
                         {"fixed": fp.fixed,
                          "scalar": jsonify(fp.scalar) if fp.fixed else None,
                          "witness": fp.witness}))
-    return _finish(report, started)
+    return report
 
 
-def _cmd_certificate(args) -> int:
-    started = time.monotonic()
-    case = Case.coerce(args.case.upper())
+def _cmd_certificate(args) -> Report:
+    case = Case.coerce(args.case)
     x = parse(args.expr, case)
     value = vacuum_certificate(x)
     threshold = 0.5 - 1e-12
     report = Report(suite="certificate", config={"expr": args.expr, "case": case.value})
     report.add(Instance("vacuum-distance", value >= threshold, value,
                         {"threshold": threshold}))
-    return _finish(report, started)
+    return report
 
 
-def _cmd_nonconvergence(args) -> int:
-    started = time.monotonic()
+def _cmd_nonconvergence(args) -> Report:
     space = TruncSpace(Case.Z, -args.n, 0, 2)
     chk = check_nonconvergence(space, args.n)
     report = Report(suite="nonconvergence", config={"n": args.n})
@@ -268,7 +257,7 @@ def _cmd_nonconvergence(args) -> int:
                         {"diagonal": chk.diagonal,
                          "witnessEntry": jsonify(chk.witness_entry),
                          "strongResidual": jsonify(chk.strong_residual)}))
-    return _finish(report, started)
+    return report
 
 
 def _is_int(v) -> bool:
@@ -288,18 +277,11 @@ def _commutant_window(spec: dict) -> Tuple[int, int]:
     raise ValueError(f"commutant spec: 'window' must be a pair of ints or 'a..b', got {window!r}")
 
 
-def _cmd_commutant(args) -> int:
-    started = time.monotonic()
-    spec = _load_json_arg(args.gens)
-    if not isinstance(spec, dict):
-        raise ValueError("commutant spec must be a JSON object")
-    for field in ("window", "particles", "exprs"):
-        if field not in spec:
-            raise ValueError(f"commutant spec: missing field {field!r}")
+def _cmd_commutant(args) -> Report:
+    spec = _load_json_arg(args.gens, "commutant spec", ("window", "particles", "exprs"),
+                          ints=("particles",))
     case = Case.coerce(str(spec.get("case", "N")).upper())
     lo, hi = _commutant_window(spec)
-    if not _is_int(spec["particles"]):
-        raise ValueError(f"commutant spec: 'particles' must be an int, got {spec['particles']!r}")
     exprs = spec["exprs"]
     if not (isinstance(exprs, list) and exprs and all(isinstance(e, str) for e in exprs)):
         raise ValueError(f"commutant spec: 'exprs' must be a non-empty list of strings, got {exprs!r}")
@@ -312,17 +294,20 @@ def _cmd_commutant(args) -> int:
             raise ValueError(f"commutant spec: 'exprs' entry {e!r} has an inexact coefficient; "
                              "the commutant needs exact entries")
     space = TruncSpace(case, lo, hi, spec["particles"])
-    from .fock import evaluate
-
+    # summed level by level and given up past the bound, so no window is slow to check
+    levels = (space.level_dimension(k) for k in range(space.trunc + 1))
+    if any(dim > COMMUTANT_MAX_DIM for dim in itertools.accumulate(levels)):
+        raise SizeLimitError("commutant spec: the space's dimension exceeds the commutant "
+                             f"bound of {COMMUTANT_MAX_DIM}")
     mats = [evaluate(space, x) for x in elements]
     dim, _basis = commutant_dim(mats)
     report = Report(suite="commutant",
                     config={"case": case.value, "window": [lo, hi],
-                            "particles": spec["particles"], "exprs": spec["exprs"]})
+                            "particles": spec["particles"], "exprs": exprs})
     ok = True if expect is None else dim == expect
     report.add(Instance("dimension", ok, EXACT_ZERO if ok else abs(dim - (expect or 0)),
                         {"dim": dim, "expect": expect}))
-    return _finish(report, started)
+    return report
 
 
 def _parse_phase(v):
@@ -342,14 +327,8 @@ def _parse_phase(v):
 
 def _reps_components(spec: dict) -> List[Tuple[int, object, int]]:
     """The (level, phase, mult) triples of a reps spec, after checking its shape."""
-    if not isinstance(spec, dict):
-        raise ValueError("reps spec must be a JSON object")
-    for field in ("d", "particles", "components"):
-        if field not in spec:
-            raise ValueError(f"reps spec: missing field {field!r}")
-    for field in ("d", "particles", "zeroDim"):
-        if field in spec and not _is_int(spec[field]):
-            raise ValueError(f"reps spec: {field!r} must be an int, got {spec[field]!r}")
+    if spec.get("zeroDim", 0) < 0:
+        raise ValueError(f"reps spec: 'zeroDim' must be >= 0, got {spec['zeroDim']}")
     comps = spec["components"]
     if not (isinstance(comps, list)
             and all(isinstance(c, dict) and "level" in c and "phase" in c for c in comps)):
@@ -362,21 +341,20 @@ def _reps_components(spec: dict) -> List[Tuple[int, object, int]]:
     return [(c["level"], _parse_phase(c["phase"]), c.get("mult", 1)) for c in comps]
 
 
-def _cmd_reps(args) -> int:
-    started = time.monotonic()
-    if args.action != "decompose":
-        raise ValueError(f"unknown reps action {args.action!r}")
-    spec = _load_json_arg(args.spec)
+def _cmd_reps(args) -> Report:
+    # decompose, the one action the parser admits
+    spec = _load_json_arg(args.spec, "reps spec", ("d", "particles", "components"),
+                          ints=("d", "particles", "zeroDim"))
     comps = _reps_components(spec)
-    check_decompose_size(spec["d"], spec["particles"], comps, spec.get("zeroDim", 0))
-    gens, meta = build_direct_sum(spec["d"], spec["particles"], comps,
-                                  zero_dim=spec.get("zeroDim", 0))
+    zero = spec.get("zeroDim", 0)
+    check_decompose_size(spec["d"], spec["particles"], comps, zero)
+    gens, meta = build_direct_sum(spec["d"], spec["particles"], comps, zero_dim=zero)
     result = decompose(gens)
     report = Report(suite="reps-decompose",
                     config={"d": spec["d"], "particles": spec["particles"],
                             "declared": [{"level": l, "phase": scalars.to_text(p),
                                           "mult": m} for l, p, m in comps],
-                            "zeroDim": spec.get("zeroDim", 0), "dim": meta["dim"]})
+                            "zeroDim": zero, "dim": meta["dim"]})
     declared = sorted(
         ((l, scalars.to_complex(p), m) for l, p, m in comps),
         key=lambda t: (t[0], t[1].real, t[1].imag))
@@ -390,19 +368,30 @@ def _cmd_reps(args) -> int:
                         worst,
                         {"found": [{"level": l, "phase": {"re": p.real, "im": p.imag},
                                     "mult": m} for l, p, m in found]}))
-    ok_resid = result.residual_dim == spec.get("zeroDim", 0)
-    report.add(Instance("residual", ok_resid, None,
-                        {"residualDim": result.residual_dim,
-                         "expected": spec.get("zeroDim", 0)}))
-    return _finish(report, started)
+    report.add(Instance("residual", result.residual_dim == zero, None,
+                        {"residualDim": result.residual_dim, "expected": zero}))
+    return report
 
 
-def _load_json_arg(text: str) -> dict:
+def _load_json_arg(text: str, what: str, required: Sequence[str],
+                   ints: Sequence[str] = ()) -> dict:
+    """A JSON spec, inline (starting with '{') or from a file, checked to be an
+    object holding every required field, with an int in each int field present."""
     text = text.strip()
     if text.startswith("{"):
-        return json.loads(text)
-    with open(text, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        spec = json.loads(text)
+    else:
+        with open(text, "r", encoding="utf-8") as fh:
+            spec = json.load(fh)
+    if not isinstance(spec, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    for field in required:
+        if field not in spec:
+            raise ValueError(f"{what}: missing field {field!r}")
+    for field in ints:
+        if field in spec and not _is_int(spec[field]):
+            raise ValueError(f"{what}: {field!r} must be an int, got {spec[field]!r}")
+    return spec
 
 
 @functools.cache
@@ -430,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="letter margin inside the window")
     q.add_argument("--max-size", type=int, default=2,
                    help="largest constraint-set size for exel-laca")
-    q.add_argument("--family", help="JSON file with explicit X/Y pairs")
+    q.add_argument("--family", help="JSON file or inline JSON with explicit X/Y pairs")
     q.add_argument("--levels", default="0,1,2", help="rep levels, comma separated")
     q.add_argument("--max-index", type=int, default=None)
 
@@ -476,16 +465,11 @@ def build_parser() -> argparse.ArgumentParser:
 def _join_window_values(argv: List[str]) -> List[str]:
     # argparse reads "-6..6" as an option; fold it into "--window=-6..6"
     out: List[str] = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if tok == "--window" and i + 1 < len(argv) and \
-                re.fullmatch(r"-?\d+\.\.-?\d+", argv[i + 1]):
-            out.append(f"--window={argv[i + 1]}")
-            i += 2
-            continue
-        out.append(tok)
-        i += 1
+    for tok in argv:
+        if out and out[-1] == "--window" and re.fullmatch(r"-?\d+\.\.-?\d+", tok):
+            out[-1] = f"--window={tok}"
+        else:
+            out.append(tok)
     return out
 
 
@@ -494,10 +478,20 @@ def main(argv: Optional[List[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = parser.parse_args(_join_window_values(list(argv)))
+    started = time.monotonic()
     # looked up per call, so the shared parser holds no command functions
     command = globals()[f"_cmd_{args.command}"]
     try:
-        return command(args)
+        result = command(args)
+        millis = int((time.monotonic() - started) * 1000)
+        if isinstance(result, Report):
+            result.runtime_millis = millis
+            text, passed = result.render() + "\n", result.passed
+        elif isinstance(result, Csv):
+            text, passed = csv_render(result.headers, result.rows), result.passed
+        else:
+            result["runtimeMillis"] = millis
+            text, passed = json.dumps(result, indent=2) + "\n", True
     except InternalConsistencyError as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return INTERNAL_ERROR
@@ -505,6 +499,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             FinitenessError, FuelError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    print(text, end="")
+    return 0 if passed else CHECK_FAILED
 
 
 if __name__ == "__main__":

@@ -243,14 +243,6 @@ class Element:
         return sorted(self.terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
 
 
-def adjoint(x: Element) -> Element:
-    return x.adjoint()
-
-
-def shift(x: Element, m: int) -> Element:
-    return x.shift(m)
-
-
 # --- printer ---------------------------------------------------------------
 
 def _split_sign(s: Scalar):

@@ -52,6 +52,11 @@ MOMENTS_MAX_WORK = 200_000
 DECOMPOSE_MAX_DIM = 300
 DECOMPOSE_MAX_WORK = 1_000_000_000
 
+# commutant_dim solves for the n**2 entries of T exactly, so the commutant
+# command refuses, before building a matrix, a space of dimension above this;
+# n = 105 takes about three seconds
+COMMUTANT_MAX_DIM = 100
+
 
 # --- the three-term polynomial family --------------------------------------
 

@@ -1,14 +1,19 @@
 """Command line interface: subcommands, report schema, exit codes."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+import tempfile
+from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from wmfock import cli
 from wmfock.errors import InternalConsistencyError
@@ -294,6 +299,10 @@ def test_certificate_float_coefficient():
       '{"d":3,"particles":100000,"components":[{"level":0,"phase":1}]}'), b"decompose bound"),
     (("reps", "decompose", "--spec", '{"d":100000,"particles":0,"components":[]}'),
      b"above the bound"),
+    (("commutant", "--gens", '{"window":[1,2],"particles":14,"exprs":["x(1)","x(2)"]}'),
+     b"commutant bound"),
+    (("commutant", "--gens", '{"window":[1,1000000],"particles":1000000,"exprs":["x(1)"]}'),
+     b"commutant bound"),
 ])
 def test_numeric_and_spec_faults_exit_2(args, expected):
     code, out, err = run_cli(*args)
@@ -348,3 +357,137 @@ def test_parser_reused_across_calls(monkeypatch, capsys):
             code = exc.code
         out, err = capsys.readouterr()
         assert (code, mask(out.encode()), err.encode()) == fresh[argv], argv
+
+
+# --- main() on generated argv ------------------------------------------------------
+
+@dataclass(frozen=True)
+class SpecFile:
+    """A JSON spec argument that the test writes to a file and passes by path."""
+    text: str
+
+
+EXPRS = ["c(1)", "a(1) c(1)", "x(1)", "x(1) + x(2)", "q(1) + 2 p(2)", "c(2)a(1)c(1)",
+         "a(0)c(0)", "0.5*a(1)c(1)", "1/3 I + c(1)'", "I", "c(", ""]
+
+
+def number(lo, hi, *oversized):
+    """An int argument in [lo, hi], or one of the oversized values."""
+    values = st.integers(lo, hi)
+    if oversized:
+        values |= st.sampled_from(oversized)
+    return values.map(str)
+
+
+def option(name, values, optional=False):
+    """`name` with one of the values, or (when optional) no option at all."""
+    given = values.map(lambda v: [name, v])
+    return st.just([]) | given if optional else given
+
+
+def json_arg(fields, required):
+    """A JSON object, inline or in a file: the required fields and any of the
+    others, or any subset of all of them."""
+    whole = st.fixed_dictionaries({k: fields[k] for k in required},
+                                  optional={k: v for k, v in fields.items() if k not in required})
+    text = (whole | st.fixed_dictionaries({}, optional=fields)).map(json.dumps)
+    return text | text.map(SpecFile) | st.just(SpecFile("[1]"))
+
+
+def command(*parts):
+    """argv of one subcommand: its name, then each part's list of arguments."""
+    return st.tuples(*parts).map(lambda lists: [arg for part in lists for arg in part])
+
+
+expr = st.sampled_from(EXPRS)
+ints = st.lists(st.integers(-3, 4), max_size=2)
+pair = st.fixed_dictionaries({"X": ints, "Y": ints}) | st.fixed_dictionaries(
+    {}, optional={"X": ints | st.just(1), "Y": ints})
+family = json_arg({"pairs": st.lists(pair, max_size=2) | st.just("x")}, ["pairs"])
+gens = json_arg({
+    "case": st.sampled_from(["N", "z", "anti", "q", 5]),
+    "window": st.sampled_from([[1, 1], [1, 2], "1..2", "-1..1", [1], "1-2", [1, 1000]]),
+    "particles": st.integers(0, 3) | st.sampled_from([-1, "1", None, 1000000]),
+    "exprs": st.lists(expr, min_size=1, max_size=3) | st.sampled_from([[], "x(1)"]),
+    "expect": st.none() | st.integers(0, 4) | st.just("2"),
+}, ["window", "particles", "exprs"])
+component = st.fixed_dictionaries({"level": st.integers(0, 2), "phase": st.just(1)}) | \
+    st.fixed_dictionaries({}, optional={
+        "level": st.integers(-1, 3) | st.just("0"),
+        "phase": st.sampled_from([1, -1, 0.5, "3/5", "1/0", {"re": 0, "im": 1}, [1]]),
+        "mult": st.integers(-1, 2) | st.just("2"),
+    })
+reps_spec = json_arg({
+    "d": st.integers(-1, 3) | st.sampled_from(["3", 100000]),
+    "particles": st.integers(0, 3) | st.sampled_from([-1, None, 100000]),
+    "zeroDim": st.integers(-2, 2) | st.none(),
+    "components": st.lists(component, max_size=3) | st.just("x"),
+}, ["d", "particles", "components"])
+window = st.builds(lambda lo, width: f"{lo}..{lo + width}", st.integers(-3, 3),
+                   st.integers(-1, 4)) | st.sampled_from(["-3..3", "1..4", "1-3", "x..2"])
+csv = st.sampled_from([[], ["--csv"]])
+
+ARGV = st.one_of(
+    command(st.just(["rewrite"]), option("--case", st.sampled_from(["z", "n"])),
+            option("--expr", expr), st.sampled_from([[], ["--show-steps"]])),
+    command(st.just(["verify"]),
+            option("--suite", st.sampled_from(["relations-z", "exel-laca", "rep-n", "anti"])),
+            option("--window", window), option("--particles", number(-1, 3)),
+            option("--depth", number(-1, 3), optional=True),
+            option("--max-size", number(0, 1), optional=True),
+            option("--family", family, optional=True),
+            option("--levels", st.sampled_from(["0", "0,1", "2", "-1", "x"]), optional=True),
+            option("--max-index", number(-1, 3), optional=True)),
+    command(st.just(["moments"]), option("--expr", expr),
+            option("--case", st.sampled_from(["z", "n", "anti"])),
+            option("--max-order", number(-2, 8, 100000)), csv),
+    command(st.just(["cesaro"]),
+            option("--word", expr | st.sampled_from(["c(0)", "a(1)", "2 a(1)", "a(1)a(2)",
+                                                     "c(1)c(2)"])),
+            option("--n", number(-1, 6, 100000))),
+    command(st.just(["limit"]),
+            option("--N", st.lists(st.integers(-1, 12), min_size=1, max_size=3).map(
+                lambda ns: ",".join(map(str, ns))) | st.just("x")),
+            option("--vector", st.sampled_from(["", "1", "2,1", "(1,2)", "x"])), csv),
+    command(st.just(["states"]), option("--expr", expr),
+            option("--t", st.sampled_from(["1/3", "0", "2", "0.25", "-1", "nan", "1/0", "x"]))),
+    command(st.just(["certificate"]), option("--expr", expr),
+            option("--case", st.sampled_from(["z", "anti"]))),
+    command(st.just(["nonconvergence"]), option("--n", number(-1, 8, 100000))),
+    command(st.just(["commutant"]), option("--gens", gens)),
+    command(st.just(["reps", "decompose"]), option("--spec", reps_spec)),
+)
+
+EL_WINDOW = ["verify", "--suite", "exel-laca", "--window", "-3..3", "--particles", "2"]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(ARGV)
+@example(["verify", "--suite", "exel-laca", "--window", "1..4", "--particles", "2",
+          "--depth", "3"])
+@example(["reps", "decompose", "--spec",
+          '{"d":3,"particles":2,"components":[{"level":0,"phase":1}],"zeroDim":-1}'])
+@example(EL_WINDOW + ["--family", SpecFile('{"pairs":[{"X":1,"Y":[2]}]}')])
+@example(EL_WINDOW + ["--family", SpecFile("[1]")])
+def test_main_exit_contract(argv):
+    # no exception but argparse's SystemExit leaves main, and exit 2 is one error line
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [Path(tmp, f"spec{k}.json") for k in range(len(argv))]
+        for path, arg in zip(paths, argv):
+            if isinstance(arg, SpecFile):
+                path.write_text(arg.text)
+        argv = [str(path) if isinstance(arg, SpecFile) else arg for path, arg in zip(paths, argv)]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # argparse rejected the argv
+                assert exc.code == 2 and out.getvalue() == ""
+                return
+    assert code in (0, 1, 2, 3), argv
+    if code == 2:
+        assert out.getvalue() == "", argv
+        lines = err.getvalue().splitlines(keepends=True)
+        assert len(lines) == 1 and lines[0].startswith("error:") and lines[0].endswith("\n"), argv
+    else:
+        assert out.getvalue(), argv
