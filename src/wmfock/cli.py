@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import math
 import re
@@ -49,6 +48,7 @@ from .reports import EXACT_ZERO, Instance, Report, csv_render, jsonify
 from .rewrite import normalize_n, normalize_z
 from .spectral import (
     COMMUTANT_MAX_DIM,
+    LIMIT_MAX_WIDTH,
     RepSpec,
     build_direct_sum,
     check_decompose_size,
@@ -204,6 +204,9 @@ def _cmd_cesaro(args) -> Report:
 def _cmd_limit(args):
     xi = _parse_tuple(args.vector)
     ns = [int(v) for v in str(args.N).split(",")]
+    if 2 * max(ns) + 1 > LIMIT_MAX_WIDTH:
+        raise SizeLimitError(f"limit --N {max(ns)} averages over {2 * max(ns) + 1} indices, "
+                             f"above the bound of {LIMIT_MAX_WIDTH:,}")
     rows: List[List[object]] = []
     report = Report(suite="limit", config={"vector": list(xi), "N": ns})
     for n in ns:
@@ -294,9 +297,7 @@ def _cmd_commutant(args) -> Report:
             raise ValueError(f"commutant spec: 'exprs' entry {e!r} has an inexact coefficient; "
                              "the commutant needs exact entries")
     space = TruncSpace(case, lo, hi, spec["particles"])
-    # summed level by level and given up past the bound, so no window is slow to check
-    levels = (space.level_dimension(k) for k in range(space.trunc + 1))
-    if any(dim > COMMUTANT_MAX_DIM for dim in itertools.accumulate(levels)):
+    if space.dimension_exceeds(COMMUTANT_MAX_DIM):
         raise SizeLimitError("commutant spec: the space's dimension exceeds the commutant "
                              f"bound of {COMMUTANT_MAX_DIM}")
     mats = [evaluate(space, x) for x in elements]

@@ -17,12 +17,14 @@ plus the one-step ladder q(j+1) = q(j) + p(j+1) of the integer kind.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .errors import FinitenessError
+from .errors import FinitenessError, SizeLimitError
 from .expr import Case, Element
 from .fock import TruncSpace
 from .reports import Instance, Report
@@ -153,13 +155,13 @@ def _set_label(s: Sequence[int]) -> str:
     return "{" + ",".join(str(v) for v in sorted(s)) + "}"
 
 
-def _subsets(universe: Sequence[int], max_size: int, min_size: int = 0) -> List[Tuple[int, ...]]:
-    from itertools import combinations
+# verify_el_suite refuses, before any work, more generated (X, Y) pairs than
+# this: criterion 03 has 2,116 and --max-size 3 on -6..6 has 16,900
+EL_MAX_PAIRS = 20_000
 
-    out: List[Tuple[int, ...]] = []
-    for k in range(min_size, max_size + 1):
-        out.extend(combinations(universe, k))
-    return out
+
+def _subsets(universe: Sequence[int], max_size: int) -> List[Tuple[int, ...]]:
+    return [s for k in range(max_size + 1) for s in itertools.combinations(universe, k)]
 
 
 def verify_el_suite(
@@ -176,8 +178,10 @@ def verify_el_suite(
     Column tuples are restricted to the universe's margin inside the window,
     which loses nothing because every letter index lives in the universe.
     With pairs given, only those (X, Y) combinations are run for condition
-    (4); otherwise all subsets up to max_size, where combinations whose
-    support set is infinite are asserted to raise FinitenessError instead.
+    (4); otherwise all pairs of subsets up to max_size (no subset is larger
+    than the universe), where combinations whose support set is infinite
+    are asserted to raise FinitenessError instead.  More than EL_MAX_PAIRS
+    such pairs raise SizeLimitError before any work.
     """
     case = spec.case
     universe = sorted(universe)
@@ -185,6 +189,11 @@ def verify_el_suite(
         spec.check_index(i)
         if not space.contains_index(i):
             raise ValueError(f"universe index {i} outside the window")
+    size = min(max_size, len(universe))
+    counts = itertools.accumulate(math.comb(len(universe), k) for k in range(size + 1))
+    if pairs is None and any(n * n > EL_MAX_PAIRS for n in counts):
+        raise SizeLimitError(f"exel-laca suite: the (X, Y) pairs of sets up to size {size} "
+                             f"over {len(universe)} indices exceed the bound of {EL_MAX_PAIRS:,}")
     s_margin = max(0, min(universe[0] - space.lo, space.hi - universe[-1]))
     report = Report(
         suite="exel-laca",
@@ -208,7 +217,8 @@ def verify_el_suite(
                 _p(case, j).scale(spec.entry(i, j)))
 
     if pairs is None:
-        pairs = [(X, Y) for X in _subsets(universe, max_size) for Y in _subsets(universe, max_size)]
+        subsets = _subsets(universe, size)
+        pairs = [(X, Y) for X in subsets for Y in subsets]
     for X, Y in pairs:
         iid = f"sum-relation[X={_set_label(X)},Y={_set_label(Y)}]"
         try:

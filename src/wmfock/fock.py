@@ -2,8 +2,9 @@
 
 This module is the package's one tuple evaluator: every word acting on a
 basis tuple and every column of an element goes through word_image and
-column_action below, and accumulate is the one add-and-drop-zeros step
-that tuple-keyed vectors and rewrite's normal forms share.
+column_action below; accumulate is the one add-and-drop-zeros step and
+agree the one entrywise comparison that tuple-keyed vectors and rewrite's
+normal forms share.
 
 Basis vectors are index tuples (i1, ..., ik) with k <= trunc; the empty
 tuple is the vacuum.  Z and N cases use non-increasing tuples (i1 >= ... >=
@@ -41,6 +42,7 @@ the words involved, the tight sound choice.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -85,6 +87,12 @@ class TruncSpace:
 
     def level_dimension(self, k: int) -> int:
         return math.comb(self.width + k - 1, k)
+
+    def dimension_exceeds(self, bound: int) -> bool:
+        """Whether the dimension passes bound, summed level by level and
+        given up as soon as it does, so a huge space is refused at once."""
+        levels = (self.level_dimension(k) for k in range(self.trunc + 1))
+        return any(dim > bound for dim in itertools.accumulate(levels))
 
     def tuples(self, max_particles: Optional[int] = None,
                lo: Optional[int] = None, hi: Optional[int] = None) -> Iterator[BasisTuple]:
@@ -140,22 +148,15 @@ class TruncSpace:
 
 
 def _level_tuples(anti: bool, lo: int, hi: int, k: int) -> Iterator[BasisTuple]:
-    """Ascending-lex k-tuples; non-increasing entries, or non-decreasing if anti."""
+    """Ascending-lex k-tuples; non-increasing entries, or non-decreasing if anti.
 
-    def rec(prefix: BasisTuple) -> Iterator[BasisTuple]:
-        if len(prefix) == k:
-            yield prefix
-            return
-        if not prefix:
-            lo2, hi2 = lo, hi
-        elif anti:
-            lo2, hi2 = prefix[-1], hi
-        else:
-            lo2, hi2 = lo, prefix[-1]
-        for nxt in range(lo2, hi2 + 1):
-            yield from rec(prefix + (nxt,))
-
-    yield from rec(())
+    Each (k-1)-tuple prefix, taken lazily in its own order, is extended by
+    every admissible last entry, so a tuple is built once per level.
+    """
+    if k == 1:
+        return ((i,) for i in range(lo, hi + 1))
+    return (p + (i,) for p in _level_tuples(anti, lo, hi, k - 1)
+            for i in (range(p[-1], hi + 1) if anti else range(lo, p[-1] + 1)))
 
 
 def enumerate_basis(case, lo: int, hi: int, trunc: int, cap: int = DEFAULT_CAP) -> TruncSpace:
@@ -220,6 +221,12 @@ def accumulate(vec: dict, key, delta) -> None:
         vec.pop(key, None)
     else:
         vec[key] = acc
+
+
+def agree(va: dict, vb: dict, tol: float = scalars.DEFAULT_TOL) -> bool:
+    """Whether two sparse vectors agree entry by entry under scalars.eq,
+    reading a missing key as 0."""
+    return all(scalars.eq(va.get(k, 0), vb.get(k, 0), tol) for k in va.keys() | vb.keys())
 
 
 def column_action(space: TruncSpace, x: Element, t: BasisTuple) -> Dict[BasisTuple, scalars.Scalar]:

@@ -18,28 +18,46 @@ default only when a word takes more steps than that.
 Z case.  Normal words are the Gamma words (creator letters with
 non-increasing indices followed by annihilator letters with non-decreasing
 indices), with the standalone supports c(i)a(i) rewritten at the end into
-pair words a(i)c(i) minus a(i-1)c(i-1).  The result is the Hamel
+pair words a(i)c(i) minus a(i-1)c(i-1) (R8).  The result is the Hamel
 decomposition  unit*I + sum(lam) + sum over i of pairs[i]*a(i)c(i),
 which is unique, so any sound terminating strategy lands on the same
 answer.
 
 N case.  Normal words are paths c(mu)a(nu-reversed) for non-increasing
-multi-indices mu, nu; standalone supports a(i)c(i) expand by
-a(i)c(i) = sum_{k=0..i} c(k)a(k).  Canonical keys here are NOT linearly
+multi-indices mu, nu; a standalone support a(i)c(i) left at the end is
+expanded (the N4 final pass).  Canonical keys here are NOT linearly
 independent in the algebra, which is why equal_n cross-checks map
 agreement against evaluation agreement and raises on any mismatch.
+
+Rules.  One step function serves both cases, with a per-case table of
+labels and of the one expansion where the cases differ:
+
+    Z    N     resolution
+    R1   N1    a(i)c(j) = 0 for i != j
+    R2   N2    c(i)c(j) = 0 for i < j
+    R3   N2*   a(i)a(j) = 0 for i > j
+    R4   N3    a(i)c(i)c(j) = c(j) for j <= i, else 0
+    R5   N3*   ...a(p)a(j)c(j) = ...a(p)  (p <= j)
+    R6   N4    a(i)c(i)a(j)        the support expansion
+    R7   N5    ...c(p)a(j)c(j)     ...c(p) for j >= p, else the expansion
+
+Both expansions come from one relation: the support projection a(i)c(i)
+is the sum of the range projections c(k)a(k) for k <= i, and c(k)a(k)
+dies next to a(j) or c(p) for k above j or p.  N reads the sum up from
+its bottom index 0; Z has no bottom, so it reads the sum as the telescoped
+complement I - sum over k > i of c(k)a(k).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 from . import scalars
 from .errors import FuelError, InternalConsistencyError, SizeLimitError
 from .expr import Case, Element, Token, Word, word_str
-from .fock import TruncSpace, accumulate, column_action
+from .fock import TruncSpace, accumulate, agree, column_action
 
 MultiIndex = Tuple[int, ...]
 
@@ -109,7 +127,7 @@ def classify_word(w: Word, case=Case.Z) -> WordClass:
             return WordClass("lambda")
         return WordClass("not-normal")
     if case is Case.N:
-        if len(w) == 2 and not w[0][1] and w[1][1] and w[0][0] == w[1][0]:
+        if _is_pair(w):
             return WordClass("support", w[0][0])
         if _gamma_split(w) is not None:
             return WordClass("path")
@@ -152,8 +170,42 @@ def _tail_annihilator_run(w: Word) -> int:
     return n
 
 
-def _step_z(w: Word, tok: Token, log) -> Dict[Word, int]:
-    """Resolve normal state word w against one incoming letter (Z case)."""
+def _expand_z(prefix: Word, i: int, top: int, suffix: Word) -> Dict[Word, int]:
+    """prefix a(i)c(i) suffix, as prefix (I - sum over i < k <= top of c(k)a(k)) suffix."""
+    out = {prefix + suffix: 1}
+    for k in range(i + 1, top + 1):
+        out[prefix + ((k, True), (k, False)) + suffix] = -1
+    return out
+
+
+def _expand_n(prefix: Word, i: int, top: int, suffix: Word) -> Dict[Word, int]:
+    """prefix a(i)c(i) suffix, as prefix (sum over 0 <= k <= min(i, top) of c(k)a(k)) suffix."""
+    return {prefix + ((k, True), (k, False)) + suffix: 1 for k in range(min(i, top) + 1)}
+
+
+class _Rules(NamedTuple):
+    """One case's rule labels (see the module docstring) and support expansion."""
+
+    mismatch: str
+    creators: str
+    annihilators: str
+    pair_creator: str
+    absorb: str
+    pair_annihilator: str
+    telescope: str
+    expand: Callable[[Word, int, int, Word], Dict[Word, int]]
+
+
+_Z_RULES = _Rules("R1", "R2", "R3", "R4", "R5", "R6", "R7", _expand_z)
+_N_RULES = _Rules("N1", "N2", "N2*", "N3", "N3*", "N4", "N5", _expand_n)
+
+
+def _step(w: Word, tok: Token, log, rules: _Rules) -> Dict[Word, int]:
+    """Resolve normal state word w against one incoming letter.
+
+    The case enters only through rules: the labels logged and the support
+    expansion of R6/N4 and R7/N5.
+    """
     j, dagger = tok
     if not w:
         return {(tok,): 1}
@@ -161,134 +213,55 @@ def _step_z(w: Word, tok: Token, log) -> Dict[Word, int]:
     if _is_pair(w):                      # state a(i)c(i)
         i = w[0][0]
         if dagger:
-            # R4: a(i)c(i)c(j) = c(j) if i >= j else 0
-            out = {((j, True),): 1} if i >= j else {}
-            _log(log, "R4", w, tok, out)
-            return out
-        if i >= j:
-            out = {((j, False),): 1}
+            out, rule = ({(tok,): 1} if j <= i else {}), rules.pair_creator
         else:
-            out = {((j, False),): 1}
-            for k in range(i + 1, j + 1):
-                out[((k, True), (k, False), (j, False))] = -1
-        _log(log, "R6", w, tok, out)
+            out, rule = rules.expand((), i, j, (tok,)), rules.pair_annihilator
+        _log(log, rule, w, tok, out)
         return out
 
     last_i, last_d = w[-1]
-    if dagger:
-        if last_d:
-            # creator on creator: R2 kills increasing junctions
-            if last_i < j:
-                _log(log, "R2", w, tok, {})
-                return {}
-            return {w + (tok,): 1}
+    if dagger and not last_d:
         # creator meets trailing annihilator
         if last_i != j:
-            _log(log, "R1", w, tok, {})
-            return {}
-        run = _tail_annihilator_run(w)
-        if run >= 2:
-            # ...a(p)a(j)c(j) = ...a(p), p <= j by normality
-            out = {w[:-1]: 1}
-            _log(log, "R5", w, tok, out)
-            return out
-        if len(w) == 1:
-            # lone a(j) followed by c(j): keep as the pair word
-            return {((j, False), (j, True)): 1}
-        # creator block ends at c(p): R7 telescope
-        p = w[-2][0]
-        if j >= p:
-            out = {w[:-1]: 1}
+            out, rule = {}, rules.mismatch
+        elif _tail_annihilator_run(w) >= 2:
+            out, rule = {w[:-1]: 1}, rules.absorb
+        elif len(w) == 1:
+            return {w + (tok,): 1}       # lone a(j)c(j): keep as the pair word
         else:
-            out = {w[:-1]: 1}
-            for k in range(j + 1, p + 1):
-                out[w[:-1] + ((k, True), (k, False))] = -1
-        _log(log, "R7", w, tok, out)
-        return out
-
-    # incoming annihilator
-    if last_d:
-        return {w + (tok,): 1}          # junction creator->annihilator is free
-    if last_i > j:
-        _log(log, "R3", w, tok, {})
-        return {}
-    return {w + (tok,): 1}
-
-
-def _step_n(w: Word, tok: Token, log) -> Dict[Word, int]:
-    """Resolve normal state word w against one incoming letter (N case)."""
-    j, dagger = tok
-    if not w:
-        return {(tok,): 1}
-
-    if len(w) == 2 and not w[0][1] and w[1][1]:   # standalone support a(i)c(i)
-        i = w[0][0]
-        if dagger:
-            # N3: a(i)c(i)c(j) = c(j) if j <= i else 0
-            out = {((j, True),): 1} if j <= i else {}
-            _log(log, "N3", w, tok, out)
-            return out
-        out = {((k, True), (k, False), (j, False)): 1 for k in range(0, min(i, j) + 1)}
-        _log(log, "N4", w, tok, out)
-        return out
-
-    last_i, last_d = w[-1]
-    if dagger:
-        if last_d:
-            # creator after creator: s_p s_j dies for p < j
-            if last_i < j:
-                _log(log, "N2", w, tok, {})
-                return {}
-            return {w + (tok,): 1}
-        # incoming creator meets a trailing annihilator: junction s_p* s_j
-        if last_i != j:
-            _log(log, "N1", w, tok, {})
-            return {}
-        if _tail_annihilator_run(w) >= 2:
-            # ...s_p* s_j* s_j absorbs to ...s_p* (p <= j by normality)
-            out = {w[:-1]: 1}
-            _log(log, "N3*", w, tok, out)
-            return out
-        if len(w) == 1:
-            # lone s_j* s_j: keep as the support word
-            return {((j, False), (j, True)): 1}
-        # preceded by the creator s_p
-        p = w[-2][0]
-        if j >= p:
-            out = {w[:-1]: 1}
-        else:
-            out = {w[:-1] + ((k, True), (k, False)): 1 for k in range(0, j + 1)}
-        _log(log, "N5", w, tok, out)
-        return out
-
-    # incoming annihilator
-    if last_d:
-        return {w + (tok,): 1}          # junction creator -> annihilator is free
-    if last_i > j:
-        # adjoint of N2: s_p* s_j* = (s_j s_p)* dies for j < p
-        _log(log, "N2*", w, tok, {})
-        return {}
-    return {w + (tok,): 1}
+            # the creator block ends at c(p)
+            p = w[-2][0]
+            out = {w[:-1]: 1} if j >= p else rules.expand(w[:-1], j, p, ())
+            rule = rules.telescope
+    elif dagger and last_i < j:                  # c(p)c(j), p < j
+        out, rule = {}, rules.creators
+    elif not dagger and not last_d and last_i > j:   # a(p)a(j), p > j
+        out, rule = {}, rules.annihilators
+    else:
+        return {w + (tok,): 1}           # free junction
+    _log(log, rule, w, tok, out)
+    return out
 
 
-def _log(log, rule: str, w: Word, tok: Token, out: Dict[Word, int]) -> None:
+def _log(log, rule: str, w: Word, tok: Optional[Token], out: Dict[Word, int]) -> None:
+    """Record one resolution; a final-pass rule has no incoming letter."""
     if log is not None:
         log.append({
             "rule": rule,
             "state": word_str(w),
-            "letter": word_str((tok,)),
+            "letter": word_str((tok,)) if tok else "",
             "out": [(("-" if c < 0 else "") + (word_str(v) if v else "I")) for v, c in out.items()],
         })
 
 
-def _reduce_word(word: Word, step, fuel: Optional[int], log) -> Dict[Word, int]:
+def _reduce_word(word: Word, rules: _Rules, fuel: Optional[int], log) -> Dict[Word, int]:
     budget = _Budget(word, fuel)
     state: Dict[Word, int] = {(): 1}
     for tok in word:
         nxt: Dict[Word, int] = {}
         for w, c in state.items():
             budget.spend()
-            for v, k in step(w, tok, log).items():
+            for v, k in _step(w, tok, log, rules).items():
                 acc = nxt.get(v, 0) + c * k
                 if acc:
                     nxt[v] = acc
@@ -320,13 +293,8 @@ class NormalFormZ:
         return Element(Case.Z, self.unit, terms)
 
     def agrees_with(self, other: "NormalFormZ", tol: float = scalars.DEFAULT_TOL) -> bool:
-        if not scalars.eq(self.unit, other.unit, tol):
-            return False
-        for d1, d2 in ((self.lam, other.lam), (self.pairs, other.pairs)):
-            for k in set(d1) | set(d2):
-                if not scalars.eq(d1.get(k, 0), d2.get(k, 0), tol):
-                    return False
-        return True
+        return (scalars.eq(self.unit, other.unit, tol) and agree(self.lam, other.lam, tol)
+                and agree(self.pairs, other.pairs, tol))
 
 
 @dataclass
@@ -347,12 +315,7 @@ class NormalFormN:
         return Element(Case.N, self.unit, terms)
 
     def agrees_with(self, other: "NormalFormN", tol: float = scalars.DEFAULT_TOL) -> bool:
-        if not scalars.eq(self.unit, other.unit, tol):
-            return False
-        for k in set(self.paths) | set(other.paths):
-            if not scalars.eq(self.paths.get(k, 0), other.paths.get(k, 0), tol):
-                return False
-        return True
+        return scalars.eq(self.unit, other.unit, tol) and agree(self.paths, other.paths, tol)
 
 
 def normalize_z(x: Element, fuel: Optional[int] = None, log: Optional[list] = None) -> NormalFormZ:
@@ -361,7 +324,7 @@ def normalize_z(x: Element, fuel: Optional[int] = None, log: Optional[list] = No
         raise ValueError("normalize_z expects a Z-case element")
     nf = NormalFormZ(unit=x.unit)
     for word, coeff in x.terms.items():
-        for w, k in _reduce_word(word, _step_z, fuel, log).items():
+        for w, k in _reduce_word(word, _Z_RULES, fuel, log).items():
             contrib = coeff if k == 1 and type(coeff) in _EXACT else scalars.mul(coeff, k)
             if not w:
                 nf.unit = scalars.add(nf.unit, contrib)
@@ -370,14 +333,8 @@ def normalize_z(x: Element, fuel: Optional[int] = None, log: Optional[list] = No
             elif _is_support(w):
                 # R8: c(i)a(i) = a(i)c(i) - a(i-1)c(i-1)
                 i = w[0][0]
-                if log is not None:
-                    log.append({
-                        "rule": "R8",
-                        "state": word_str(w),
-                        "letter": "",
-                        "out": [word_str(((i, False), (i, True))),
-                                "-" + word_str(((i - 1, False), (i - 1, True)))],
-                    })
+                _log(log, "R8", w, None, {((i, False), (i, True)): 1,
+                                          ((i - 1, False), (i - 1, True)): -1})
                 accumulate(nf.pairs, i, contrib)
                 accumulate(nf.pairs, i - 1, scalars.neg(contrib))
             else:
@@ -393,30 +350,22 @@ def normalize_n(x: Element, fuel: Optional[int] = None, log: Optional[list] = No
         raise ValueError("normalize_n expects an N-case element")
     nf = NormalFormN(unit=x.unit)
     for word, coeff in x.terms.items():
-        for w, k in _reduce_word(word, _step_n, fuel, log).items():
+        for w, k in _reduce_word(word, _N_RULES, fuel, log).items():
             contrib = coeff if k == 1 and type(coeff) in _EXACT else scalars.mul(coeff, k)
-            pending = [(w, contrib)]
-            if len(w) == 2 and not w[0][1] and w[1][1]:
+            pending = {w: 1}
+            if _is_pair(w):
                 # trailing standalone support: N4 expansion
-                i = w[0][0]
-                pending = [(((kk, True), (kk, False)), contrib) for kk in range(0, i + 1)]
-                if log is not None:
-                    log.append({
-                        "rule": "N4",
-                        "state": word_str(w),
-                        "letter": "",
-                        "out": [word_str(((kk, True), (kk, False))) for kk in range(0, i + 1)],
-                    })
-            for v, c in pending:
+                pending = _expand_n((), w[0][0], w[0][0], ())
+                _log(log, "N4", w, None, pending)
+            for v in pending:
                 if not v:
-                    nf.unit = scalars.add(nf.unit, c)
+                    nf.unit = scalars.add(nf.unit, contrib)
                     continue
                 split = _gamma_split(v)
                 if split is None:
                     raise InternalConsistencyError(f"fold produced non-normal word {word_str(v)}")
                 mu, annih = split
-                nu = tuple(reversed(annih))
-                accumulate(nf.paths, (mu, nu), c)
+                accumulate(nf.paths, (mu, tuple(reversed(annih))), contrib)
     if scalars.is_zero(nf.unit):
         nf.unit = 0
     return nf
@@ -476,13 +425,8 @@ def equal_n(x: Element, y: Element, tol: float = scalars.DEFAULT_TOL) -> bool:
 
     maps_agree = normalize_n(x).agrees_with(normalize_n(y), tol)
     gx, gy = _gauged(x), _gauged(y)
-    evals_agree = True
-    for t in space.tuples(max_particles=maxlen + 1):
-        ax = column_action(space, gx, t)
-        ay = column_action(space, gy, t)
-        if not all(scalars.eq(ax.get(k, 0), ay.get(k, 0), tol) for k in ax.keys() | ay.keys()):
-            evals_agree = False
-            break
+    evals_agree = all(agree(column_action(space, gx, t), column_action(space, gy, t), tol)
+                      for t in space.tuples(max_particles=maxlen + 1))
 
     if maps_agree and not evals_agree:
         raise InternalConsistencyError(

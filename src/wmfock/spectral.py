@@ -57,6 +57,11 @@ DECOMPOSE_MAX_WORK = 1_000_000_000
 # n = 105 takes about three seconds
 COMMUTANT_MAX_DIM = 100
 
+# limit_residual applies the position element twice per index of its window
+# of 2N + 1 indices, so the limit command refuses, before any work, a wider
+# window than this; N = 10,000 takes about 0.7 s
+LIMIT_MAX_WIDTH = 20_001
+
 
 # --- the three-term polynomial family --------------------------------------
 

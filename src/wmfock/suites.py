@@ -11,9 +11,24 @@ from __future__ import annotations
 
 from functools import partial
 
+from .errors import SizeLimitError
 from .expr import Case, Element
 from .fock import TruncSpace, verify_identity
 from .reports import Instance, Report
+
+
+# A suite over w letter indices checks fewer than 3 * w**2 identities, each
+# on at most the tuples of the window those indices span; relations_z_suite
+# and anti_suite refuse, before the first identity, a suite whose product
+# passes this bound.  A column costs a few microseconds.
+SUITE_MAX_COLUMNS = 5_000_000
+
+
+def _check_size(suite: str, space: TruncSpace, index_margin: int) -> None:
+    inner = TruncSpace(space.case, space.lo + index_margin, space.hi - index_margin, space.trunc)
+    if inner.dimension_exceeds(SUITE_MAX_COLUMNS // (3 * inner.width ** 2)):
+        raise SizeLimitError(f"{suite} suite: letters on {inner.width} indices with {space.trunc} "
+                             f"particles could check more than {SUITE_MAX_COLUMNS:,} columns")
 
 
 def _w(case: Case, *letters) -> Element:
@@ -41,6 +56,7 @@ def relations_z_suite(space: TruncSpace, depth: int = 2,
     lo, hi = space.lo + depth, space.hi - depth
     if lo > hi:
         raise ValueError("window too small for the requested depth")
+    _check_size("relations-z", space, depth)
     Z = Case.Z
     report = Report(suite="relations-z",
                     config={"window": [space.lo, space.hi],
@@ -72,6 +88,7 @@ def anti_suite(space: TruncSpace, tol: float = 1e-12) -> Report:
     """
     if space.case is not Case.ANTI:
         raise ValueError("this suite is for the anti-monotone case")
+    _check_size("anti", space, 0)
     A = Case.ANTI
     report = Report(suite="anti",
                     config={"window": [space.lo, space.hi],

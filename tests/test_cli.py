@@ -303,6 +303,15 @@ def test_certificate_float_coefficient():
      b"commutant bound"),
     (("commutant", "--gens", '{"window":[1,1000000],"particles":1000000,"exprs":["x(1)"]}'),
      b"commutant bound"),
+    (("limit", "--N", "10,100000"), b"above the bound of 20,001"),
+    (("verify", "--suite", "relations-z", "--window", "-3..3", "--particles", "100000"),
+     b"relations-z suite"),
+    (("verify", "--suite", "anti", "--window", "1..4", "--particles", "100000"), b"anti suite"),
+    (("verify", "--suite", "anti", "--window", "1..1000000", "--particles", "1"), b"anti suite"),
+    (("verify", "--suite", "exel-laca", "--window", "-10..10", "--particles", "2",
+      "--max-size", "3"), b"(X, Y) pairs"),
+    (("verify", "--suite", "exel-laca", "--window", "-30..30", "--particles", "2",
+      "--max-size", "100000"), b"(X, Y) pairs"),
 ])
 def test_numeric_and_spec_faults_exit_2(args, expected):
     code, out, err = run_cli(*args)

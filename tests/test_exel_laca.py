@@ -3,6 +3,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from wmfock import exel_laca
+from wmfock.errors import SizeLimitError
 from wmfock.exel_laca import (ELKind, ELMatrixSpec, FinitenessError, a_coeff,
                               condition_elements, relation_instance,
                               support_set, verify_el_suite)
@@ -147,3 +149,25 @@ def test_remark_ladder_in_suite():
     report = verify_el_suite(space, WMZ, universe=[-1, 0, 1], max_size=1)
     ladder = [i for i in report.instances if i.id.startswith("ladder")]
     assert ladder and all(i.passed for i in ladder)
+
+
+def test_max_size_past_the_universe_changes_only_the_config():
+    space = TruncSpace("Z", -3, 3, 2)
+    full = verify_el_suite(space, WMZ, universe=[-1, 0, 1], max_size=3)
+    past = verify_el_suite(space, WMZ, universe=[-1, 0, 1], max_size=100_000)
+    assert past.config["maxSize"] == 100_000
+    assert [(i.id, i.passed, i.details) for i in past.instances] == \
+        [(i.id, i.passed, i.details) for i in full.instances]
+
+
+def test_pair_bound_is_checked_before_any_identity(monkeypatch):
+    def no_identities(*args, **kwargs):
+        raise AssertionError("identity checked above the pair bound")
+
+    monkeypatch.setattr(exel_laca, "run_identity", no_identities)
+    space = TruncSpace("Z", -10, 10, 2)
+    # 1 + 17 + 136 + 680 = 834 subsets, so 695,556 pairs
+    with pytest.raises(SizeLimitError, match="exceed the bound of 20,000"):
+        verify_el_suite(space, WMZ, universe=range(-8, 9), max_size=3)
+    with pytest.raises(SizeLimitError):
+        verify_el_suite(space, WMZ, universe=range(-8, 9), max_size=10 ** 9)

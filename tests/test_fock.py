@@ -11,7 +11,7 @@ import oracles
 from conftest import random_element_z, random_word_z
 from wmfock import scalars
 from wmfock.expr import Element, parse
-from wmfock.fock import (IdentityCheck, TruncSpace, WindowError, accumulate,
+from wmfock.fock import (IdentityCheck, TruncSpace, WindowError, accumulate, agree,
                          apply_element_to_vector, build_generator,
                          column_action, enumerate_basis, evaluate,
                          interior_columns, interior_tuples, operator_norm,
@@ -367,3 +367,20 @@ def test_accumulate_drops_a_cancelled_key():
     vec = {"k": -2, "j": 1}
     accumulate(vec, "k", Fraction(4, 2))
     assert vec == {"j": 1}
+
+
+def test_agree_reads_a_missing_key_as_zero():
+    assert agree({(1,): Fraction(1, 2)}, {(1,): Fraction(1, 2), (2,): 0})
+    assert not agree({(1,): 1}, {})
+    assert agree({(1,): 1.0}, {(1,): 1 + 1e-15})
+    assert not agree({(1,): 1.0}, {(1,): 1 + 1e-15}, tol=0.0)
+
+
+@pytest.mark.parametrize("case, lo, hi, trunc", [("Z", -2, 2, 4), ("N", 1, 1, 6),
+                                                   ("ANTI", 1, 3, 3)])
+def test_dimension_exceeds_matches_the_closed_form(case, lo, hi, trunc):
+    space = TruncSpace(case, lo, hi, trunc)
+    assert not space.dimension_exceeds(space.dimension)
+    assert space.dimension_exceeds(space.dimension - 1)
+    # a huge particle cap is refused after a few levels
+    assert TruncSpace(case, lo, hi, 10 ** 12).dimension_exceeds(space.dimension)

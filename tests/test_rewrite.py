@@ -1,6 +1,7 @@
 """Rewriting to canonical normal forms, checked against a naive action oracle."""
 
 import cmath
+import hashlib
 from fractions import Fraction
 from random import Random
 
@@ -59,6 +60,13 @@ def test_classify_frozen_shapes():
     assert classify_word(((2, True), (1, True), (3, False))).kind == "lambda"
     assert classify_word(((1, True), (2, True))).kind == "not-normal"
     assert classify_word(()).kind == "unit"
+
+
+def test_classify_n_support_needs_equal_indices():
+    supp = classify_word(((2, False), (2, True)), "N")
+    assert (supp.kind, supp.index) == ("support", 2)
+    assert classify_word(((1, False), (2, True)), "N").kind == "not-normal"
+    assert classify_word(((2, True), (1, False)), "N").kind == "path"
 
 
 def test_equal_z_frozen():
@@ -241,6 +249,46 @@ def test_default_fuel_past_the_cheap_bound(monkeypatch):
     assert normalize_z(x) == normalize_z(x, fuel=default_fuel(word))
     with pytest.raises(FuelError):
         normalize_z(x, fuel=8 ** 4)
+
+
+def _fold_corpus(case, lo, hi):
+    """A sha256 over 400 seeded elements' folds, and the labels they fire.
+
+    Each line holds one element's unit, each coefficient dict as its item
+    list (so values, types and key order) and its --show-steps log.  The
+    second set holds the labels that fired with more than one output word.
+    """
+    rng = Random(1102)
+    normalize = normalize_z if case == "Z" else normalize_n
+    lines, fired, expanded = [], set(), set()
+    for _ in range(400):
+        x = Element.one(case, Fraction(rng.randint(-2, 2)))
+        for _ in range(rng.randint(1, 3)):
+            x = x + Element.word(case, random_word_z(rng, 4, lo, hi), random_scalar(rng))
+        log = []
+        nf = normalize(x, log=log)
+        coords = (nf.lam, nf.pairs) if case == "Z" else (nf.paths,)
+        lines.append(repr((nf.unit, [list(d.items()) for d in coords], log)))
+        fired.update(step["rule"] for step in log)
+        expanded.update(step["rule"] for step in log if len(step["out"]) > 1)
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest(), fired, expanded
+
+
+# any change to a normal form, its key order or a step log of the corpus moves these
+FOLD_PINS = {"Z": "dab5174f098ee2daf64e3adf60c37b49866254e1ff3daa14f70aebcba35aaeb0",
+             "N": "a21a5685ab9ff1fca917e3472bc66ae6c8fabb0713de3f5051342e7b9d926c83"}
+
+
+@pytest.mark.parametrize("case, lo, hi, labels", [
+    ("Z", -3, 3, {"R1", "R2", "R3", "R4", "R5", "R6", "R7", "R8"}),
+    ("N", 0, 3, {"N1", "N2", "N2*", "N3", "N3*", "N4", "N5"}),
+])
+def test_fold_normal_forms_and_step_logs_are_pinned(case, lo, hi, labels):
+    digest, fired, expanded = _fold_corpus(case, lo, hi)
+    assert fired == labels
+    # both resolutions where the cases differ run past their one-word branch
+    assert {"R6", "R7", "N4", "N5"} & labels <= expanded
+    assert digest == FOLD_PINS[case]
 
 
 def _act_all(x, tuples, cap):
