@@ -11,28 +11,29 @@ weight of the normal form.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Optional, Sequence
 
 from . import scalars
 from .errors import InternalConsistencyError, SizeLimitError
-from .expr import Case, Element, Word
+from .expr import Case, Element, Word, word_shift, word_surplus
 from .fock import (
     BasisTuple,
     TruncSpace,
     accumulate,
     apply_element_to_vector,
-    column_action,
     creator_tuple,
-    evaluate,
     interior_tuples,
     vector_norm_sq,
+    word_image,
 )
 from .rewrite import classify_word, normalize_z
 
-# check_nonconvergence evaluates its n words on every basis tuple; it refuses
-# more than this many word evaluations before any work starts
+# check_nonconvergence refuses, before any work starts, an average whose n
+# words on every basis tuple would be more than this many word evaluations;
+# it then evaluates only the words whose first letter acts
 NONCONVERGENCE_MAX_EVALS = 2_000_000
 
 
@@ -84,36 +85,61 @@ def check_cesaro_bound(space: TruncSpace, word_element: Element, n: int,
     column's first index, so every column holds at most one entry.  Every
     entry is c/n for the word's coefficient c, so A*A (or AA*) is diagonal
     and ||avg||^2 = |c/n|^2 * max(most entries in one column, most entries
-    in one row).  Columns of neither pattern, or an entry other than c/n,
-    raise InternalConsistencyError.  A space above its dimension cap raises
-    SizeLimitError before averaging, and a window too small for the shifts
-    raises WindowError.
+    in one row).
+
+    The work follows the shifts that act.  The first letter to act is w's
+    last letter shifted by k, so on a column t only the k it admits are
+    evaluated: k = t[0] - i for an annihilator a(i), one interval on the
+    admissible side of t[0] for a creator.  Those shifted words go through
+    word_image, their images are counted in ints per column and per row,
+    and c/n is formed once.  Two shifts meeting at one image (an entry
+    other than c/n), or columns of neither pattern, raise
+    InternalConsistencyError.  A space above its dimension cap raises
+    SizeLimitError before any evaluation, and a window too small for the
+    shifts raises WindowError.
     """
     if len(word_element.terms) != 1 or not scalars.is_zero(word_element.unit):
         raise ValueError("the Cesaro bound applies to a single word")
-    word = next(iter(word_element.terms))
+    word, coeff = next(iter(word_element.terms.items()))
     if classify_word(word).kind != "lambda":
         raise ValueError("the Cesaro bound applies to lambda words only")
     if space.dimension > space.cap:
         raise SizeLimitError(f"space dimension {space.dimension} exceeds cap {space.cap}")
-    avg = cesaro_average(word_element, n)
-    space.check_indices(avg)
-    entry = avg.terms[word]  # c/n, the coefficient every shift carries
-    margin = avg.max_surplus()
-    per_row: Dict[BasisTuple, int] = {}
+    if n <= 0:
+        raise ValueError("average length must be positive")
+    # the lowest index of any shift is in shift 0, or in shift 1 once shift
+    # 0's is the N case's unchecked bottom index; the highest is in shift n - 1
+    for k in sorted({0, min(1, n - 1), n - 1}):
+        space.check_indices(word_element.shift(k))
+    # the average's coefficient, as cesaro_average would give it
+    entry = scalars.mul(Fraction(1, n), scalars.add(0, coeff))
+    shifted = [word_shift(word, k) for k in range(n)]
+    last, creates = word[-1]
+    # a(0) of the N case is the vacuum projection: unshifted, it acts on ()
+    bottom = 1 if space.case is Case.N and last == 0 and not creates else 0
+    anti = space.case is Case.ANTI
+    per_row: Counter = Counter()
     most_in_col = 0
     columns = 0
-    for t in interior_tuples(space, margin, 0):
+    for t in interior_tuples(space, word_surplus(word), 0):
         columns += 1
-        col = column_action(space, avg, t)
+        if not t:
+            acting = range(n) if creates else range(bottom)
+        elif creates:
+            edge = t[0] - last
+            acting = range(min(n, edge + 1)) if anti else range(max(0, edge), n)
+        else:
+            k = t[0] - last
+            acting = range(k, k + 1) if 0 <= k < n else range(0)
+        col = [img for k in acting if (img := word_image(space, shifted[k], t)) is not None]
+        if len(set(col)) < len(col):
+            hits = next(h for h in map(col.count, col) if h > 1)
+            raise InternalConsistencyError(
+                f"Cesaro average entry {scalars.to_text(scalars.mul(hits, entry))} at "
+                f"column {t}, expected {scalars.to_text(entry)}")
         if len(col) > most_in_col:
             most_in_col = len(col)
-        for img, v in col.items():
-            if v != entry:
-                raise InternalConsistencyError(
-                    f"Cesaro average entry {scalars.to_text(v)} at column {t}, "
-                    f"expected {scalars.to_text(entry)}")
-            per_row[img] = per_row.get(img, 0) + 1
+        per_row.update(col)
     most_in_row = max(per_row.values(), default=0)
     if most_in_col > 1 and most_in_row > 1:
         raise InternalConsistencyError(
@@ -196,9 +222,15 @@ def check_nonconvergence(space: TruncSpace, n: int) -> NonconvergenceCheck:
     basis; its entry at the one-particle vector with index -n is exactly -1,
     and no entry exceeds 1 in modulus, so both norm bounds meet at 1.  The
     diagonal entry at index 0 is -1/n, the strong-convergence residual.
-    The n words are evaluated on every basis tuple, so SizeLimitError is
-    raised before any work when n times the dimension of the space exceeds
-    NONCONVERGENCE_MAX_EVALS.
+
+    The average's entries are read off int counts: on each basis tuple t
+    the words a(-k)c(-k) whose creator c(-k) can act (t below the particle
+    cap, and -k >= t[0]) go through word_image, an image other than t
+    fails the diagonal check, and the images are counted, so n D[t, t] is
+    the int n [t = ()] - count.  The norm and the three reported entries
+    are divided by n once, at the end.
+    SizeLimitError is raised before any work when n times the dimension of
+    the space (every word on every tuple) exceeds NONCONVERGENCE_MAX_EVALS.
     """
     if space.case is not Case.Z:
         raise ValueError("non-convergence witness lives on the integer case")
@@ -213,30 +245,35 @@ def check_nonconvergence(space: TruncSpace, n: int) -> NonconvergenceCheck:
         raise SizeLimitError(f"non-convergence check needs {evals} word evaluations "
                              f"(n = {n} words on {space.dimension} basis tuples), "
                              f"above the bound of {NONCONVERGENCE_MAX_EVALS}")
-    avg = Element(Case.Z, terms={((-k, False), (-k, True)): 1 for k in range(n)})
-    avg = avg.scale(Fraction(1, n))
-    mat = evaluate(space, avg)
-    space.materialize()
-    vac = space.position(())
-    diag_ok = all(r == c for (r, c) in mat.entries)
-    # entries of D: 1 - avg at the vacuum, -avg elsewhere; all exact rationals
-    witness = None
-    vac_entry = None
-    zero_entry = None
-    max_sq = Fraction(0)
-    if diag_ok:
-        for p, t in enumerate(space.basis):
-            a = mat.entries.get((p, p), 0)
-            d = scalars.add(1 if p == vac else 0, scalars.neg(a))
-            sq = Fraction(scalars.abs2(d))
-            if sq > max_sq:
-                max_sq = sq
-            if t == (-n,):
-                witness = d
-            if p == vac:
-                vac_entry = d
-            if t == (0,):
-                zero_entry = d
+    if space.dimension > space.cap:
+        raise SizeLimitError(f"space dimension {space.dimension} exceeds cap {space.cap}")
+    words = [((-k, False), (-k, True)) for k in range(n)]
+    diag_ok = True
+    most = 0  # the largest |n * D[t, t]|
+    scaled: Dict[BasisTuple, int] = {}  # n * D[t, t] at the three tuples reported
+    for t in space.tuples():
+        if len(t) >= space.trunc:
+            acting = range(0)
+        else:
+            acting = range(min(n, 1 - t[0]) if t else n)
+        hits = 0
+        for k in acting:
+            img = word_image(space, words[k], t)
+            if img is not None:
+                diag_ok = diag_ok and img == t
+                hits += 1
+        # D is 1 - avg at the vacuum and -avg elsewhere
+        m = (n if t == () else 0) - hits
+        most = max(most, abs(m))
+        if t in ((), (-n,), (0,)):
+            scaled[t] = m
+    if not diag_ok:
+        scaled, most = {}, 0
+    entry = {t: scalars.demote(Fraction(m, n)) for t, m in scaled.items()}
+    max_sq = Fraction(most * most, n * n)
+    witness = entry.get((-n,))
+    vac_entry = entry.get(())
+    zero_entry = entry.get((0,))
     witness_ok = witness == -1
     vac_ok = vac_entry is not None and scalars.is_zero(vac_entry)
     norm_ok = max_sq == 1

@@ -159,6 +159,12 @@ def _set_label(s: Sequence[int]) -> str:
 # this: criterion 03 has 2,116 and --max-size 3 on -6..6 has 16,900
 EL_MAX_PAIRS = 20_000
 
+# verify_el_suite also refuses, before any work, a suite whose identities
+# times the tuples of the universe's window (with the space's particle cap)
+# exceed this: --max-size 3 on -6..6 with 4 particles is 17,097 * 715, about
+# 12.2 M, and --particles 100000 on -3..3 or a 597-index universe is past it
+EL_MAX_COLUMNS = 20_000_000
+
 
 def _subsets(universe: Sequence[int], max_size: int) -> List[Tuple[int, ...]]:
     return [s for k in range(max_size + 1) for s in itertools.combinations(universe, k)]
@@ -181,7 +187,8 @@ def verify_el_suite(
     (4); otherwise all pairs of subsets up to max_size (no subset is larger
     than the universe), where combinations whose support set is infinite
     are asserted to raise FinitenessError instead.  More than EL_MAX_PAIRS
-    such pairs raise SizeLimitError before any work.
+    such pairs raise SizeLimitError before any work, and so do more than
+    EL_MAX_COLUMNS identities times basis tuples of the universe's window.
     """
     case = spec.case
     universe = sorted(universe)
@@ -189,11 +196,21 @@ def verify_el_suite(
         spec.check_index(i)
         if not space.contains_index(i):
             raise ValueError(f"universe index {i} outside the window")
-    size = min(max_size, len(universe))
-    counts = itertools.accumulate(math.comb(len(universe), k) for k in range(size + 1))
+    u = len(universe)
+    size = min(max_size, u)
+    counts = itertools.accumulate(math.comb(u, k) for k in range(size + 1))
     if pairs is None and any(n * n > EL_MAX_PAIRS for n in counts):
         raise SizeLimitError(f"exel-laca suite: the (X, Y) pairs of sets up to size {size} "
-                             f"over {len(universe)} indices exceed the bound of {EL_MAX_PAIRS:,}")
+                             f"over {u} indices exceed the bound of {EL_MAX_PAIRS:,}")
+    n_pairs = len(pairs) if pairs is not None else \
+        sum(math.comb(u, k) for k in range(size + 1)) ** 2
+    # conditions (1)-(3), the (X, Y) pairs and the ladder
+    identities = 3 * math.comb(u, 2) + u * u + n_pairs + u - 1
+    universe_space = TruncSpace(space.case, universe[0], universe[-1], space.trunc)
+    if universe_space.dimension_exceeds(EL_MAX_COLUMNS // identities):
+        raise SizeLimitError(f"exel-laca suite: {identities:,} identities over {u} indices "
+                             f"with {space.trunc} particles could check more than "
+                             f"{EL_MAX_COLUMNS:,} columns")
     s_margin = max(0, min(universe[0] - space.lo, space.hi - universe[-1]))
     report = Report(
         suite="exel-laca",

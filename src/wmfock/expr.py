@@ -103,9 +103,10 @@ class Element:
         dead = [w for w, c in self.terms.items() if scalars.is_zero(c)]
         for w in dead:
             del self.terms[w]
-        for w in self.terms:
-            for i, _ in w:
-                check_index(self.case, i)
+        if self.case is not Case.Z:  # every integer is a Z-case index
+            for w in self.terms:
+                for i, _ in w:
+                    check_index(self.case, i)
 
     # constructors
 

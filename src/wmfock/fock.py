@@ -150,13 +150,34 @@ class TruncSpace:
 def _level_tuples(anti: bool, lo: int, hi: int, k: int) -> Iterator[BasisTuple]:
     """Ascending-lex k-tuples; non-increasing entries, or non-decreasing if anti.
 
-    Each (k-1)-tuple prefix, taken lazily in its own order, is extended by
-    every admissible last entry, so a tuple is built once per level.
+    Both orders are produced lazily and without recursion, so any particle
+    count can be enumerated: the non-decreasing tuples are exactly
+    combinations_with_replacement's, and the non-increasing ones come from
+    an odometer over the first k - 2 entries, each such head extended by
+    every admissible pair of last entries.
     """
+    if anti:
+        return itertools.combinations_with_replacement(range(lo, hi + 1), k)
     if k == 1:
         return ((i,) for i in range(lo, hi + 1))
-    return (p + (i,) for p in _level_tuples(anti, lo, hi, k - 1)
-            for i in (range(p[-1], hi + 1) if anti else range(lo, p[-1] + 1)))
+    return _non_increasing_tuples(lo, hi, k)
+
+
+def _non_increasing_tuples(lo: int, hi: int, k: int) -> Iterator[BasisTuple]:
+    head = [lo] * (k - 2)
+    while True:
+        base = tuple(head)
+        yield from (base + (x, y) for x in range(lo, (head[-1] if head else hi) + 1)
+                    for y in range(lo, x + 1))
+        # the next head: raise its rightmost entry below that entry's bound
+        # (the entry before it, or hi for the first) and reset the rest to lo
+        j = k - 3
+        while j >= 0 and head[j] == (head[j - 1] if j else hi):
+            j -= 1
+        if j < 0:
+            return
+        head[j] += 1
+        head[j + 1:] = [lo] * (k - 3 - j)
 
 
 def enumerate_basis(case, lo: int, hi: int, trunc: int, cap: int = DEFAULT_CAP) -> TruncSpace:

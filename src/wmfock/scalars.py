@@ -152,6 +152,8 @@ def _operands(a, b):
 
 
 def add(a, b):
+    if type(a) in _RATIONAL and type(b) in _RATIONAL:
+        return demote(a + b)  # what _operands would hand back, without its checks
     a, b = _operands(a, b)
     return demote(a + b)
 
@@ -165,6 +167,8 @@ def sub(a, b):
 
 
 def mul(a, b):
+    if type(a) in _RATIONAL and type(b) in _RATIONAL:
+        return demote(a * b)
     a, b = _operands(a, b)
     return demote(a * b)
 

@@ -31,8 +31,10 @@ from .fock import (
     SparseMat,
     TruncSpace,
     accumulate,
+    annihilator_tuple,
     apply_element_to_vector,
     build_generator,
+    creator_tuple,
     interior_columns,
     vector_norm_sq,
 )
@@ -57,9 +59,9 @@ DECOMPOSE_MAX_WORK = 1_000_000_000
 # n = 105 takes about three seconds
 COMMUTANT_MAX_DIM = 100
 
-# limit_residual applies the position element twice per index of its window
-# of 2N + 1 indices, so the limit command refuses, before any work, a wider
-# window than this; N = 10,000 takes about 0.7 s
+# limit_residual applies a(i) and c(i) twice per index of its window of
+# 2N + 1 indices, so the limit command refuses, before any work, a wider
+# window than this; N = 10,000 takes about 0.2 s
 LIMIT_MAX_WIDTH = 20_001
 
 
@@ -211,9 +213,10 @@ def limit_residual(space: TruncSpace, n_window: int, xi: BasisTuple) -> float:
     """|| average of squared positions applied to xi minus T xi ||.
 
     T is the vacuum projection plus half the complement; the average runs
-    over indices -n_window..n_window, each square applied to xi as the
-    position element twice.  All vector arithmetic is exact, only the final
-    square root is floating point.
+    over indices -n_window..n_window.  Each square x(i)^2 = (a(i) + c(i))^2
+    is applied to xi letter by letter, and the images are counted in ints;
+    the scale 1/(2 n_window + 1) and T enter once, in the exact squared
+    norm, and only the final square root is floating point.
     """
     if space.case is not Case.Z:
         raise ValueError("the averaged-square limit lives on the integer case")
@@ -226,18 +229,18 @@ def limit_residual(space: TruncSpace, n_window: int, xi: BasisTuple) -> float:
     if len(xi) + 2 > space.trunc:
         raise ValueError("particle cap too small: need two spare levels above xi")
     count = 2 * n_window + 1
-    acc: Dict[BasisTuple, scalars.Scalar] = {}
-    start: Dict[BasisTuple, scalars.Scalar] = {xi: 1}
+    acc: Dict[BasisTuple, int] = {}
     for i in range(-n_window, n_window + 1):
-        x = position_element(Case.Z, i)
-        once = apply_element_to_vector(space, x, start)
-        for t, v in apply_element_to_vector(space, x, once).items():
-            accumulate(acc, t, v)
-    scale = Fraction(1, count)
-    resid: Dict[BasisTuple, scalars.Scalar] = {t: scalars.mul(scale, v) for t, v in acc.items()}
-    # subtract T xi = (1 if vacuum else 1/2) xi
-    accumulate(resid, xi, -1 if xi == () else Fraction(-1, 2))
-    return math.sqrt(float(vector_norm_sq(resid)))
+        for once in (annihilator_tuple(i, xi), creator_tuple(space, i, xi)):
+            if once is None:
+                continue
+            for twice in (annihilator_tuple(i, once), creator_tuple(space, i, once)):
+                if twice is not None:
+                    acc[twice] = acc.get(twice, 0) + 1
+    # the residual is acc / count - T xi, with T xi = (1 if vacuum else 1/2) xi
+    at_xi = Fraction(acc.pop(xi, 0), count) - (1 if xi == () else Fraction(1, 2))
+    norm_sq = Fraction(sum(v * v for v in acc.values()), count * count) + at_xi * at_xi
+    return math.sqrt(float(norm_sq))
 
 
 # --- commutants --------------------------------------------------------------
@@ -248,8 +251,10 @@ def commutant_dim(mats: Sequence[SparseMat]) -> Tuple[int, List[SparseMat]]:
     Matrices must share one square shape and have exact entries; the answer
     is a certificate, computed by exact elimination.
 
-    Each M (then each M*) contributes the equations (TM - MT)[r, c] = 0 in
-    row-major (r, c) order, over the unknowns T[r, k] at key r*n + k.  An
+    Each M (then each M* other than M itself) contributes the equations
+    (TM - MT)[r, c] = 0 in row-major (r, c) order, over the unknowns
+    T[r, k] at key r*n + k.  A self-adjoint M's second set would repeat its
+    first after it and add no pivot, so it is left out.  An
     equation only meets column c and row r of M, so it is assembled from
     M's nonzero entries grouped by column and by row, not from a dense loop
     over k; a pair (r, c) whose column and row are both empty gives no
@@ -267,7 +272,7 @@ def commutant_dim(mats: Sequence[SparseMat]) -> Tuple[int, List[SparseMat]]:
         if not m.is_exact():
             raise TypeError("commutant_dim requires exact entries")
     rows: List[Dict] = []
-    for m in list(mats) + [m.adjoint() for m in mats]:
+    for m in list(mats) + [a for m in mats if (a := m.adjoint()).entries != m.entries]:
         by_row: Dict[int, list] = {}
         by_col: Dict[int, list] = {}
         for (r, c), v in m.entries.items():

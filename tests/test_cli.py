@@ -256,6 +256,44 @@ def test_commutant_report_byte_identical():
         "4429c96bb26f1245c2d782ac45071cf6c3eb855d45de9fc40c1e6d6c820ba5ac"
 
 
+@pytest.mark.parametrize("args, digest", [
+    (("cesaro", "--word", "c(1)", "--n", "64"),
+     "ea6551751b4483ee31f9924341fd2f1755f9859e6fe88e88a24465628b82110b"),
+    (("cesaro", "--word", "c(2)a(1)", "--n", "16"),
+     "17e6bb466f9bb5d817a3560f78aea7db0d0338dd7b8a7bb3bffbb4cc694c3bf2"),
+    (("cesaro", "--word", "c(3)c(2)", "--n", "20"),
+     "774305a0c8a652c11acd10eca62f9e11450cdf420b4673ce91dc858f7acaa378"),
+    (("cesaro", "--word", "a(2)", "--n", "9"),
+     "7990a080b14eae739f1e6f4aeff2ffd0632ee96ee086cc07d2ebdd109341826d"),
+    (("limit", "--N", "10,20,40", "--vector", "2,1"),
+     "d45ec0d4f9b4cf954e6a668a54a08b26a225b76919b73a68f6e0a57608ddccb3"),
+    (("limit", "--N", "10,20,40", "--vector", ""),
+     "bc4d8a291919ab0f417e8ba9cf3638441eeac761b5b625e38f619a25ebeae912"),
+    (("limit", "--N", "10,20,40", "--vector", "2,1", "--csv"),
+     "de71d7aed5d638017190f6a747d41554db5e4b321bb75165bd0917a2747c6608"),
+    (("limit", "--N", "10,20,40", "--vector", "", "--csv"),
+     "b2ab0e0026eb734823adf53b31bc7e415b8fca27d59e3f2b82acf25de26fdede"),
+    (("nonconvergence", "--n", "1"),
+     "1b97d26cf9504149b1086cec6a0b6aede8b4f549eca40abdc3256677c6c7bb24"),
+    (("nonconvergence", "--n", "2"),
+     "cf6fcdcd677109e964c69ac59234d7124dc23858dadcd2c764cd9d71448d3ba3"),
+    (("nonconvergence", "--n", "8"),
+     "2c12529651b3c915fe76a0910e571d37dbe1f7723df43771d879658078246254"),
+    (("nonconvergence", "--n", "157"),
+     "823c19379b3389fca3ff0220a4692253288adb6d02eaaf705ef8276e250e674c"),
+    # one generator that is not self-adjoint, so its adjoint's equations stay
+    (("commutant", "--gens",
+      '{"case":"N","window":[1,2],"particles":3,"exprs":["c(1)","x(1)"]}'),
+     "438db52b2d36d1b3e3641269ae814b5bb17c70331c5c041f71476a8ed8c5035a"),
+])
+def test_shift_average_and_commutant_reports_byte_identical(args, digest):
+    # sha256 of the output with runtimeMillis masked, as first recorded
+    code, out, err = run_cli(*args)
+    assert code == 0, err.decode()
+    masked = RUNTIME.sub(b'"runtimeMillis": X', out)
+    assert hashlib.sha256(masked).hexdigest() == digest
+
+
 @pytest.mark.parametrize("spec, expected", [
     ({"case": "N", "window": [1, 1], "particles": 1, "exprs": ["0.5*x(1)"]}, b"'exprs'"),
     ({"case": "N", "window": [1, 1], "particles": 1, "exprs": "x(1)"}, b"'exprs'"),
@@ -312,12 +350,22 @@ def test_certificate_float_coefficient():
       "--max-size", "3"), b"(X, Y) pairs"),
     (("verify", "--suite", "exel-laca", "--window", "-30..30", "--particles", "2",
       "--max-size", "100000"), b"(X, Y) pairs"),
+    (("verify", "--suite", "exel-laca", "--window", "-3..3", "--particles", "100000"),
+     b"could check more than 20,000,000 columns"),
+    (("verify", "--suite", "exel-laca", "--window", "-300..300", "--particles", "1",
+      "--max-size", "0"), b"890,724 identities"),
 ])
 def test_numeric_and_spec_faults_exit_2(args, expected):
     code, out, err = run_cli(*args)
     assert code == 2
     assert out == b""
     assert err.count(b"\n") == 1 and err.startswith(b"error:") and expected in err
+
+
+def test_many_particles_enumerate_without_recursion():
+    # 1,500 particles once nested one generator per level, past the recursion limit
+    rep = run_json("verify", "--suite", "anti", "--window", "1..1", "--particles", "1500")
+    assert rep["summary"] == {"total": 2, "passed": 2, "failed": 0}
 
 
 def test_nested_expr_report():

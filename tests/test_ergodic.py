@@ -1,10 +1,14 @@
 """Shift dynamics, Cesaro averages, invariant states, vacuum certificate."""
 
+import math
 import time
+from collections import Counter
 from fractions import Fraction
 from random import Random
+from unittest import mock
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 import oracles
 from conftest import random_element_z
@@ -13,10 +17,10 @@ from wmfock.errors import InternalConsistencyError, SizeLimitError, WindowError
 from wmfock.ergodic import (cesaro_average, check_cesaro_bound,
                             check_creator_sum_estimate, check_nonconvergence,
                             fixed_point_check, omega_t, vacuum_certificate)
-from wmfock.expr import Case, Element, parse
+from wmfock.expr import Case, Element, parse, word_surplus
 from wmfock.fock import (TruncSpace, apply_element_to_vector, columns_matrix,
-                         interior_tuples)
-from wmfock.rewrite import equal_z, normalize_z
+                         interior_tuples, word_image)
+from wmfock.rewrite import classify_word, equal_z, normalize_z
 from wmfock import scalars as sc
 
 
@@ -135,19 +139,84 @@ def test_cesaro_norm_pins():
     assert chk.norm_lower == 1 / 3
 
 
+@st.composite
+def cesaro_inputs(draw):
+    """A lambda word with a coefficient, an average length and a space for it.
+
+    N words may hold the bottom index 0; the window spans every shift's
+    indices, plus a few spare ones.
+    """
+    case = draw(st.sampled_from(["Z", "N", "ANTI"]))
+    low = {"Z": -3, "N": 0, "ANTI": 1}[case]
+    index = st.integers(low, low + 3)
+    creators = sorted(draw(st.lists(index, max_size=3)), reverse=True)
+    annihilators = sorted(draw(st.lists(index, max_size=3)))
+    word = tuple((i, True) for i in creators) + tuple((i, False) for i in annihilators)
+    assume(word and classify_word(word).kind == "lambda")
+    n = draw(st.integers(1, 12))
+    re, im = draw(st.sampled_from([(1, 0), (Fraction(-2, 3), 0), (Fraction(1, 2), Fraction(-3, 4))]))
+    idx = [i for i, _ in word]
+    lo = min(idx) - draw(st.integers(0, 2))
+    if case != "Z":
+        lo = max(lo, 1)
+    hi = max(lo, max(idx) + n - 1) + draw(st.integers(0, 2))
+    particles = word_surplus(word) + draw(st.integers(0, 2))
+    return case, word, sc.gaussian(re, im), re * re + im * im, n, lo, hi, particles
+
+
+@given(cesaro_inputs())
+@settings(max_examples=150, deadline=None)
+# an N word ending in the bottom annihilator a(0), which acts on the vacuum
+# unshifted, and an ANTI creator, whose shifts act up to the column's head
+@example(("N", ((0, False),), 1, 1, 3, 1, 3, 1))
+@example(("N", ((2, True), (0, False), (0, False)), 1, 1, 4, 1, 5, 2))
+@example(("ANTI", ((1, True),), 1, 1, 3, 1, 4, 2))
+def test_cesaro_bound_matches_oracle_support(inputs):
+    # columns, norm and verdict from the support of every shift on every
+    # interior column, found by the reference tuple action; every (shift,
+    # column) pair with an image must also have gone through word_image
+    case, word, coeff, coeff_sq, n, lo, hi, particles = inputs
+    space = TruncSpace(case, lo, hi, particles)
+    cols = oracles.naive_tuples(case, lo, hi, particles - word_surplus(word))
+    shifts = [tuple((i + k, d) for i, d in word) for k in range(n)]
+    images = {(w, t): oracles.act_word(case, w, t, particles) for t in cols for w in shifts}
+    per_col = [[images[w, t] for w in shifts if images[w, t] is not None] for t in cols]
+    assert all(len(set(col)) == len(col) for col in per_col)
+    most_in_col = max(map(len, per_col))
+    most_in_row = max(Counter(img for col in per_col for img in col).values(), default=0)
+    assert min(most_in_col, most_in_row) <= 1
+    seen = set()
+
+    def recording(sp, w, t):
+        img = word_image(sp, w, t)
+        if img is not None:
+            seen.add((w, t))
+        return img
+
+    with mock.patch.object(ergodic, "word_image", recording):
+        chk = check_cesaro_bound(space, Element(case, 0, {word: coeff}), n)
+    assert seen == {key for key, img in images.items() if img is not None}
+    norm = math.sqrt(float(coeff_sq * max(most_in_col, most_in_row) / Fraction(n * n)))
+    assert chk.columns == len(cols)
+    assert chk.norm_lower == norm
+    assert chk.passed == (norm <= 1 / math.sqrt(n) + 1e-9)
+
+
 def test_cesaro_support_faults(monkeypatch):
     space = TruncSpace("Z", 1, 8, 2)
     x = parse("c(1)", "Z")
     with pytest.raises(WindowError):
         check_cesaro_bound(TruncSpace("Z", 1, 3, 2), x, 5)  # c(5) leaves [1, 3]
-    entry = Fraction(1, 4)
-    # two entries in every column, all in the same two rows
-    monkeypatch.setattr(ergodic, "column_action",
-                        lambda sp, avg, t: {(7,): entry, (8,): entry})
+    # faults go through the evaluator the certificate calls; the shifts of
+    # c(1) are c(1)..c(4), and () and (1,) are columns all four can act on
+    # c(1) and c(2) send every column to the same two rows
+    monkeypatch.setattr(ergodic, "word_image",
+                        lambda sp, w, t: {1: (7,), 2: (8,)}.get(w[0][0]))
     with pytest.raises(InternalConsistencyError, match="neither"):
         check_cesaro_bound(space, x, 4)
-    monkeypatch.setattr(ergodic, "column_action", lambda sp, avg, t: {t: 2 * entry})
-    with pytest.raises(InternalConsistencyError, match="expected 1/4"):
+    # all four shifts meet at the column itself: an entry 4 * 1/4
+    monkeypatch.setattr(ergodic, "word_image", lambda sp, w, t: t)
+    with pytest.raises(InternalConsistencyError, match="entry 1 at column \\(\\), expected 1/4"):
         check_cesaro_bound(space, x, 4)
 
 
