@@ -14,14 +14,27 @@ Three index conventions share the same syntax:
 
 Sugar understood by the parser: p(i) = c(i)a(i), q(i) = a(i)c(i),
 x(i) = a(i) + c(i), and I for the unit.  A trailing tick ' is the adjoint.
+
+Grammar.  Terms join with + and - (the first may carry a -).  A term is an
+optional scalar and an optional *, then factors multiplied by juxtaposition
+or *: a generator such as c(-2), I, a complex literal or a parenthesised
+expression, each followed by any number of ticks.  Scalar literals are an
+integer (3), a decimal with an optional exponent (0.5, .5, 2., 1e-3; float),
+p/q with integers p and q (exact), and (re + im i) or (re - im i), whose
+parts are any of those and whose re may be negated (exact parts give a
+Gaussian rational, otherwise a float complex).  Digits are any Unicode
+decimal digits, and whitespace may stand between tokens and inside a
+literal.  Any malformed input raises ParseError, whose pos is the offset
+of the offending token or character.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Dict, Iterator, Tuple
+from typing import Dict, Tuple
 
 from . import scalars
 from .scalars import Scalar
@@ -290,163 +303,114 @@ class ParseError(ValueError):
         self.pos = pos
 
 
-_SYMBOLS = set("+-*/()'")
-
 # deepest parenthesis nesting the parser accepts; each level costs four
 # Python frames of the recursive descent
 _MAX_NESTING = 100
 
+# an unsigned number: an integer or decimal with an optional exponent, or p/q
+# with an integer p; q may be any number so that a decimal q is refused by name
+_REAL = r"(?: \d+ (?:\.\d*)? | \.\d+ ) (?:[eE][+-]?\d+)?"
+_NUMBER = rf"(?: \d+ \s*/\s* {_REAL} | {_REAL} )"
+
+# one token; whitespace is the one character no alternative matches, so a
+# scan with finditer skips it
+_TOKEN = re.compile(rf"""
+      (?P<name> [^\W\d_]+ )                             # generator, I, or any other word
+    | (?P<complex> \( \s* (?P<neg>-)? \s* (?P<re>{_NUMBER}) \s*
+                   (?P<op>[+-]) \s* (?P<im>{_NUMBER}) \s* i \s* \) )   # (re ± im i)
+    | (?P<sym> [-+*/()'] )                              # symbol
+    | (?P<num> {_NUMBER} )                              # number, p/q as one token
+    | (?P<bad> \S )                                     # any other character
+    """, re.VERBOSE)
+
+# generator name -> its words, as daggers on its one index: p(i) = c(i)a(i)
+_GENERATORS = {"a": ((False,),), "c": ((True,),), "p": ((True, False),),
+               "q": ((False, True),), "x": ((False,), (True,))}
+
 
 def _lex(text: str):
-    """Yield (kind, value, pos); kinds: name, num, sym."""
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isalpha():
-            j = i
-            while j < n and text[j].isalpha():
-                j += 1
-            yield ("name", text[i:j], i)
-            i = j
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
-            j = i
-            seen_dot = False
-            while j < n and (text[j].isdigit() or (text[j] == "." and not seen_dot)):
-                if text[j] == ".":
-                    seen_dot = True
-                j += 1
-            if j < n and text[j] in "eE":
-                k = j + 1
-                if k < n and text[k] in "+-":
-                    k += 1
-                if k < n and text[k].isdigit():
-                    while k < n and text[k].isdigit():
-                        k += 1
-                    j = k
-            yield ("num", text[i:j], i)
-            i = j
-            continue
-        if ch in _SYMBOLS:
-            yield ("sym", ch, i)
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
+    """Tokens (kind, text, pos), closed by (None, None, len(text))."""
+    toks = [(m.lastgroup, m[0], m.start()) for m in _TOKEN.finditer(text)]
+    for kind, val, pos in toks:  # names are letters (str.isalpha), so '²' is stray
+        if (kind == "name" or kind == "bad") and not val.isalpha():
+            k = next(k for k, ch in enumerate(val) if not ch.isalpha())
+            raise ParseError(f"unexpected character {val[k]!r}", pos + k)
+    return toks + [(None, None, len(text))]
+
+
+def _int(text: str, pos: int) -> int:
+    try:
+        return int(text)
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        raise ParseError("integer literal too long", pos) from None
+
+
+def _real(text: str, pos: int) -> Scalar:
+    """int, reduced Fraction or float of an unsigned number token at pos."""
+    p, slash, q = text.partition("/")
+    if not slash:
+        return _int(p, pos) if p.isdigit() else float(p)
+    qpos = pos + len(text) - len(q.lstrip())
+    if not q.strip().isdigit():
+        raise ParseError("rational denominator must be an integer", qpos)
+    d = _int(q, qpos)
+    if d == 0:
+        raise ParseError("zero denominator", qpos)
+    r = Fraction(_int(p, pos), d)
+    return int(r) if r.denominator == 1 else r
+
+
+def _scalar(kind: str, text: str, pos: int) -> Scalar:
+    """Value of a number or complex token at pos; a complex one with both
+    parts exact is a Gaussian rational, otherwise a float complex."""
+    if kind == "num":
+        return _real(text, pos)
+    m = _TOKEN.match(text)  # the literal's own match gives its parts and offsets
+    re_part = _real(m["re"], pos + m.start("re"))
+    im_part = _real(m["im"], pos + m.start("im"))
+    if m["neg"]:
+        re_part = scalars.neg(re_part)
+    if m["op"] == "-":
+        im_part = scalars.neg(im_part)
+    if scalars.is_exact(re_part) and scalars.is_exact(im_part):
+        return scalars.gaussian(re_part, im_part)
+    return complex(float(re_part), float(im_part))
 
 
 class _Parser:
     def __init__(self, text: str, case: Case):
         self.case = case
-        self.toks = list(_lex(text))
+        self.toks = _lex(text)
         self.pos = 0
-        self.text = text
         self.depth = 0
 
-    def peek(self, offset: int = 0):
-        j = self.pos + offset
-        return self.toks[j] if j < len(self.toks) else (None, None, len(self.text))
-
     def next(self):
-        tok = self.peek()
+        tok = self.toks[self.pos]
         if tok[0] is None:
             raise ParseError("unexpected end of input", tok[2])
         self.pos += 1
         return tok
 
-    def expect(self, kind: str, value=None):
-        tok = self.next()
-        if tok[0] != kind or (value is not None and tok[1] != value):
-            want = value if value is not None else kind
-            raise ParseError(f"expected {want!r}, found {tok[1]!r}", tok[2])
-        return tok
+    def expect(self, ch: str) -> None:
+        _, val, pos = self.next()
+        if val != ch:
+            raise ParseError(f"expected {ch!r}, found {val!r}", pos)
 
-    def at_sym(self, ch: str, offset: int = 0) -> bool:
-        kind, val, _ = self.peek(offset)
-        return kind == "sym" and val == ch
+    # only a symbol token's text is one of the symbol characters
+    def at_sym(self, ch: str) -> bool:
+        return self.toks[self.pos][1] == ch
 
-    # scalar pieces
-
-    def parse_number(self) -> Scalar:
-        kind, val, pos = self.next()
-        if kind != "num":
-            raise ParseError(f"expected a number, found {val!r}", pos)
-        if "." in val or "e" in val or "E" in val:
-            return float(val)
-        n = int(val)
-        if self.at_sym("/") and self.peek(1)[0] == "num":
-            self.next()
-            kind2, val2, pos2 = self.next()
-            if "." in val2 or "e" in val2 or "E" in val2:
-                raise ParseError("rational denominator must be an integer", pos2)
-            d = int(val2)
-            if d == 0:
-                raise ParseError("zero denominator", pos2)
-            q = Fraction(n, d)
-            return int(q) if q.denominator == 1 else q
-        return n
-
-    def parse_signed_number(self) -> Scalar:
-        if self.at_sym("-"):
-            self.next()
-            return scalars.neg(self.parse_number())
-        if self.at_sym("+"):
-            self.next()
-        return self.parse_number()
-
-    def looks_like_complex(self) -> bool:
-        # '(' num ['/' num] ('+'|'-') num ['/' num] 'i' ')'
-        if not self.at_sym("("):
-            return False
-        j = 1
-        if self.peek(j)[0] == "sym" and self.peek(j)[1] == "-":
-            j += 1
-        if self.peek(j)[0] != "num":
-            return False
-        j += 1
-        if self.peek(j)[0] == "sym" and self.peek(j)[1] == "/" and self.peek(j + 1)[0] == "num":
-            j += 2
-        if not (self.peek(j)[0] == "sym" and self.peek(j)[1] in "+-"):
-            return False
-        j += 1
-        if self.peek(j)[0] != "num":
-            return False
-        j += 1
-        if self.peek(j)[0] == "sym" and self.peek(j)[1] == "/" and self.peek(j + 1)[0] == "num":
-            j += 2
-        if not (self.peek(j)[0] == "name" and self.peek(j)[1] == "i"):
-            return False
-        j += 1
-        return self.peek(j)[0] == "sym" and self.peek(j)[1] == ")"
-
-    def parse_complex(self) -> Scalar:
-        self.expect("sym", "(")
-        re = self.parse_signed_number()
-        kind, sign, pos = self.next()
-        if kind != "sym" or sign not in "+-":
-            raise ParseError("expected '+' or '-' in complex literal", pos)
-        im = self.parse_number()
-        if sign == "-":
-            im = scalars.neg(im)
-        self.expect("name", "i")
-        self.expect("sym", ")")
-        if scalars.is_exact(re) and scalars.is_exact(im):
-            return scalars.gaussian(re, im)
-        return complex(float(re), float(im))
+    def at_factor(self) -> bool:
+        kind, val, _ = self.toks[self.pos]
+        return kind == "name" or kind == "complex" or val == "("
 
     # grammar
 
     def parse_expr(self) -> Element:
-        negate = False
-        if self.at_sym("-"):
-            self.next()
-            negate = True
-        acc = self.parse_term()
+        negate = self.at_sym("-")
         if negate:
-            acc = -acc
+            self.next()
+        acc = -self.parse_term() if negate else self.parse_term()
         while self.at_sym("+") or self.at_sym("-"):
             op = self.next()[1]
             t = self.parse_term()
@@ -454,34 +418,25 @@ class _Parser:
         return acc
 
     def parse_term(self) -> Element:
-        coeff: Scalar = 1
-        have_scalar = False
-        if self.peek()[0] == "num":
-            coeff = self.parse_number()
-            have_scalar = True
-        elif self.looks_like_complex():
-            coeff = self.parse_complex()
-            have_scalar = True
-        if have_scalar and self.at_sym("*"):
+        kind, val, pos = self.toks[self.pos]
+        have_scalar = kind == "num" or kind == "complex"
+        if have_scalar:
             self.next()
-        factors = []
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "name" or (kind == "sym" and val == "("):
-                factors.append(self.parse_factor())
-                if self.at_sym("*") and self.peek(1)[0] in ("name", "sym") \
-                        and (self.peek(1)[0] == "name" or self.peek(1)[1] == "("):
-                    self.next()
-                continue
-            break
-        if not factors:
-            if not have_scalar:
-                kind, val, pos = self.peek()
-                raise ParseError(f"expected a term, found {val!r}", pos)
+            coeff = _scalar(kind, val, pos)
+            if self.at_sym("*"):
+                self.next()
+        elif not self.at_factor():
+            raise ParseError(f"expected a term, found {val!r}", pos)
+        acc = None
+        star = False  # a '*' between two factors requires the second
+        while star or self.at_factor():
+            f = self.parse_factor()
+            acc = f if acc is None else acc * f
+            star = self.at_sym("*")
+            if star:
+                self.next()
+        if acc is None:
             return Element.one(self.case, coeff)
-        acc = factors[0]
-        for f in factors[1:]:
-            acc = acc * f
         return acc.scale(coeff) if have_scalar else acc
 
     def parse_factor(self) -> Element:
@@ -492,55 +447,45 @@ class _Parser:
         return atom
 
     def parse_int(self) -> int:
-        neg_ = False
-        if self.at_sym("-"):
+        negative = self.at_sym("-")
+        if negative:
             self.next()
-            neg_ = True
         kind, val, pos = self.next()
-        if kind != "num" or "." in val or "e" in val or "E" in val:
+        if kind != "num" or not val.isdigit():
             raise ParseError("expected an integer index", pos)
-        return -int(val) if neg_ else int(val)
+        return -_int(val, pos) if negative else _int(val, pos)
 
     def parse_atom(self) -> Element:
-        kind, val, pos = self.peek()
-        if kind == "name":
-            self.next()
-            if val == "I":
-                return Element.one(self.case)
-            if val in ("a", "c", "p", "q", "x"):
-                self.expect("sym", "(")
-                i = self.parse_int()
-                self.expect("sym", ")")
-                try:
-                    check_index(self.case, i)
-                except ValueError as e:
-                    raise ParseError(str(e), pos) from None
-                if val == "a":
-                    return Element.annihilator(self.case, i)
-                if val == "c":
-                    return Element.creator(self.case, i)
-                if val == "p":
-                    return Element.word(self.case, ((i, True), (i, False)))
-                if val == "q":
-                    return Element.word(self.case, ((i, False), (i, True)))
-                return Element.annihilator(self.case, i) + Element.creator(self.case, i)
-            raise ParseError(f"unknown generator {val!r}", pos)
-        if kind == "sym" and val == "(":
-            if self.looks_like_complex():
-                return Element.one(self.case, self.parse_complex())
-            self.next()
+        kind, val, pos = self.next()
+        if kind == "complex":
+            return Element.one(self.case, _scalar(kind, val, pos))
+        if val == "(":
             if self.depth == _MAX_NESTING:
                 raise ParseError(f"parentheses nested deeper than {_MAX_NESTING}", pos)
             self.depth += 1
             inner = self.parse_expr()
             self.depth -= 1
-            self.expect("sym", ")")
+            self.expect(")")
             return inner
-        raise ParseError(f"expected an atom, found {val!r}", pos)
+        if kind != "name":
+            raise ParseError(f"expected an atom, found {val!r}", pos)
+        if val == "I":
+            return Element.one(self.case)
+        if val not in _GENERATORS:
+            raise ParseError(f"unknown generator {val!r}", pos)
+        self.expect("(")
+        i = self.parse_int()
+        self.expect(")")
+        try:
+            check_index(self.case, i)
+        except ValueError as e:
+            raise ParseError(str(e), pos) from None
+        return Element(self.case, terms={tuple((i, d) for d in daggers): 1
+                                         for daggers in _GENERATORS[val]})
 
     def run(self) -> Element:
         out = self.parse_expr()
-        kind, val, pos = self.peek()
+        kind, val, pos = self.toks[self.pos]
         if kind is not None:
             raise ParseError(f"trailing input {val!r}", pos)
         return out

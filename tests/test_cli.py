@@ -294,6 +294,35 @@ def test_shift_average_and_commutant_reports_byte_identical(args, digest):
     assert hashlib.sha256(masked).hexdigest() == digest
 
 
+@pytest.mark.parametrize("args, digest", [
+    (("rewrite", "--case", "z", "--expr", "(1-1i) c(1) a(1) + 1/2 q(2)'"),
+     "3c5d745287b939da38d3dc7978d67076a5b65b08036e2df8ffce8d2f535eb5fb"),
+    (("rewrite", "--case", "n", "--expr", "(-1/2+3i)*c(2) a(1) c(1)", "--show-steps"),
+     "7bcdcc82832b00247b636acf2b4b9b66a2308a7f6ee0a6427a900feda3395d4a"),
+    (("states", "--expr", "2/3 a(1)c(1) + (0.5+1i) I", "--t", "1/3"),
+     "fccff458728040b5acbf648964b2383ecce00599be8312c6a8c2ee1509f8a34c"),
+    (("certificate", "--case", "anti", "--expr", "(1+1i) a(2)c(2)"),
+     "a5bf4b12d0b97ce5e85c361a9d0140509e9e54fa438959dcf36b3ef4d173824b"),
+    (("moments", "--expr", "(1/2+1/2i) x(1)", "--max-order", "4"),
+     "4a7e84ff9e541ff6f9520cfface4d7891e93b881069834e03cf1b0508c243cdf"),
+])
+def test_scalar_literal_reports_byte_identical(args, digest):
+    # sha256 of the report with runtimeMillis masked, as first recorded
+    code, out, err = run_cli(*args)
+    assert code == 0, err.decode()
+    masked = RUNTIME.sub(b'"runtimeMillis": X', out)
+    assert hashlib.sha256(masked).hexdigest() == digest
+
+
+@pytest.mark.parametrize("text, pos", [("c(²)", 2), ("(1+2i", 4)])
+def test_malformed_expression_is_one_positioned_line(text, pos):
+    code, out, err = run_cli("rewrite", "--case", "z", "--expr", text)
+    assert code == 2 and out == b""
+    lines = err.decode().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert lines[0].endswith(f"(at position {pos})")
+
+
 @pytest.mark.parametrize("spec, expected", [
     ({"case": "N", "window": [1, 1], "particles": 1, "exprs": ["0.5*x(1)"]}, b"'exprs'"),
     ({"case": "N", "window": [1, 1], "particles": 1, "exprs": "x(1)"}, b"'exprs'"),
@@ -425,7 +454,8 @@ class SpecFile:
 
 
 EXPRS = ["c(1)", "a(1) c(1)", "x(1)", "x(1) + x(2)", "q(1) + 2 p(2)", "c(2)a(1)c(1)",
-         "a(0)c(0)", "0.5*a(1)c(1)", "1/3 I + c(1)'", "I", "c(", ""]
+         "a(0)c(0)", "0.5*a(1)c(1)", "1/3 I + c(1)'", "I", "c(", "",
+         "(1-1i) c(1)", "(1/2+3/4i)*a(1)c(1)", "c(²)", "(1+2i", "2/0 c(1)", "c(1/2)"]
 
 
 def number(lo, hi, *oversized):

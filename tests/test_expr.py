@@ -1,5 +1,6 @@
 """Expression layer: grammar, sugar, adjoint, shift, algebra laws."""
 
+import hashlib
 from fractions import Fraction
 from random import Random
 
@@ -53,6 +54,17 @@ def test_parse_scalar_forms():
     assert parse("-c(0)", "Z").terms[w((0, True),)] == -1
     assert parse("3I - I", "Z").unit == 2
     assert parse("(1-1i) I", "Z").unit == sc.gaussian(1, -1)
+    assert parse("٣ c(٣)", "Z") == parse("3 c(3)", "Z")
+    assert parse("1.5e1 I", "Z").unit == 15 and parse("2. c(1)", "Z") == parse("2 c(1)", "Z")
+    assert parse("4 / 2 I", "Z").unit == 2 and type(parse("4/2 I", "Z").unit) is int
+    assert parse("( - 1/2 + 3/4 i ) I", "Z").unit == sc.gaussian(Fraction(-1, 2), Fraction(3, 4))
+    assert parse("(0.5-1i) I", "Z").unit == complex(0.5, -1)
+    assert parse("(1+0i) I", "Z").unit == 1
+    # the complex literal as a factor, by juxtaposition or after '*', and ticked
+    assert parse("c(1) (1+2i)", "Z").terms == {w((1, True),): sc.gaussian(1, 2)}
+    assert parse("c(1)*(1+2i)'", "Z").terms == {w((1, True),): sc.gaussian(1, -2)}
+    # a dangling '*' after a leading scalar is still read as the scalar alone
+    assert parse("2* + c(1)", "Z") == parse("2 I + c(1)", "Z")
 
 
 def test_parse_errors_carry_position():
@@ -195,3 +207,123 @@ def test_indices_and_lengths():
             idx.update(i for i, _ in word)
         assert x.indices() == idx
         assert x.max_word_len() == max((len(word) for word in x.terms), default=0)
+
+
+# --- seeded corpus: the accepted language and its Elements, pinned ----------
+
+MUTANTS = ("²", "٣", "½", "é", "@")
+
+
+def corpus_text(rng):
+    """One expression drawn from the grammar, then mutated two times in five."""
+    gap = lambda: rng.choice(("", "", " ", "  "))
+
+    def real():
+        if rng.random() < 0.05:  # legal only in some places, or nowhere
+            return rng.choice(("-1", "2/0", "1/2.5", "1/-2", "0.5/2"))
+        return rng.choice(("0", "1", "2", "12", "٣", "0.5", ".25", "2.", "1e2", "3E-1",
+                           "1/2", "3 / 4", "4/2"))
+
+    def complex_literal():
+        return (f"({gap()}{rng.choice(('', '', '', '-', '-', '+'))}{gap()}{real()}{gap()}"
+                f"{rng.choice('+-')}{gap()}{real()}{gap()}"
+                f"{rng.choice(('i', 'i', 'i', 'i', 'i', 'j', 'ii'))}{gap()})")
+
+    def atom(depth):
+        r = rng.random()
+        if r < 0.6:
+            index = rng.choice(("1", "2", "3", " 3 ", "٣", "1", "2", "0", "-1", "1/2", "1.5"))
+            return f"{rng.choice('acpqxI')}({index})"
+        if r < 0.7:
+            return "I"
+        if r < 0.85 or depth >= 2:
+            return complex_literal()
+        return f"({expr(depth + 1)})"
+
+    def term(depth):
+        head = ""
+        if rng.random() < 0.5:
+            head = (real() if rng.random() < 0.6 else complex_literal()) + \
+                rng.choice(("", " ", "*", " * "))
+        out = head
+        for k in range(rng.choice((0, 1, 1, 2, 3)) if head else rng.choice((1, 1, 2, 3))):
+            if k:
+                out += rng.choice(("", " ", "*", " * "))
+            out += atom(depth) + "'" * rng.choice((0, 0, 0, 1, 2))
+        return out
+
+    def expr(depth):
+        out = rng.choice(("", "", "-", "- ")) + term(depth)
+        for _ in range(rng.choice((0, 1, 1, 2))):
+            out += rng.choice((" + ", "-", "+", " - ")) + term(depth)
+        return out
+
+    text = expr(0)
+    for _ in range(rng.choice((0, 0, 0, 1, 2))):
+        k = rng.randrange(len(text) + 1)
+        op = rng.random()
+        if op < 0.4:
+            text = text[:k] + rng.choice(MUTANTS) + text[k:]
+        elif op < 0.7:
+            text = text[:k] + text[k + 1:]
+        elif op < 0.85:
+            text = text[:k]
+        else:
+            text = text[:k] + rng.choice(MUTANTS) + text[k + 1:]
+    return text
+
+
+def corpus(seed, count=2000):
+    """(text, case) pairs of the seeded corpus."""
+    rng = Random(seed)
+    return [(corpus_text(rng), rng.choice(("Z", "Z", "N", "ANTI"))) for _ in range(count)]
+
+
+def corpus_digest(seed):
+    """Accepted count and sha256 of the corpus in order: per accepted string its
+    unit, then each term's word with the repr and type of its coefficient; one
+    mark per rejection."""
+    h = hashlib.sha256()
+    accepted = 0
+    for text, case in corpus(seed):
+        try:
+            e = parse(text, case)
+        except ValueError:
+            h.update(b"rejected\n")
+            continue
+        accepted += 1
+        h.update(f"{e.unit!r}:{type(e.unit).__name__}".encode())
+        for word, c in e.terms.items():
+            h.update(f"|{word}:{c!r}:{type(c).__name__}".encode())
+        h.update(b"\n")
+    return accepted, h.hexdigest()
+
+
+@pytest.mark.parametrize("seed, accepted, digest", [
+    (11, 399, "f02659bf4948a4907d77cad75233a321bedf947960ac451edd5b77ab8dcbbb90"),
+    (12, 432, "df4e9c3ce4017ab67412659d0ca51769ba4b652fc4d599d50efad4d1ded60530"),
+    (13, 462, "39346e6f19ee981a7ab1c00695bdb2c0b3960c9b3c558e398ceba801114625cd"),
+])
+def test_corpus_elements_pinned(seed, accepted, digest):
+    assert corpus_digest(seed) == (accepted, digest)
+
+
+@pytest.mark.parametrize("text, pos", [("c(²)", 2), ("²", 0), ("c(3²)", 3), ("c(½)", 2),
+                                       ("1/0 c(1)", 2), ("(1/2.5+1i) I", 3),
+                                       ("c(1/2)", 2),
+                                       pytest.param("c(" + "9" * 5000 + ")", 2, id="c(9...9)")])
+def test_malformed_literals_are_positioned(text, pos):
+    with pytest.raises(ParseError) as err:
+        parse(text, "Z")
+    assert err.value.pos == pos
+
+
+@pytest.mark.parametrize("seed", [11, 12, 13])
+def test_corpus_rejections_are_parse_errors(seed):
+    for text, case in corpus(seed):
+        try:
+            parse(text, case)
+        except ParseError as err:
+            assert 0 <= err.pos <= len(text), text
+        except ValueError as err:
+            pytest.fail(f"{text!r}: bare {err!r}")
