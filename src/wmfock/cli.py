@@ -127,7 +127,17 @@ def _path_label(mu, nu) -> str:
     return "".join(parts) if parts else "I"
 
 
+def _nonnegative(flag: str, value):
+    """value, or a ValueError naming flag when it is a negative count."""
+    if value is not None and value < 0:
+        raise ValueError(f"{flag} must be >= 0, got {value}")
+    return value
+
+
 def _cmd_verify(args) -> Report:
+    _nonnegative("--depth", args.depth)
+    _nonnegative("--max-size", args.max_size)
+    _nonnegative("--max-index", args.max_index)
     lo, hi = _parse_window(args.window)
     if args.suite == "relations-z":
         return relations_z_suite(TruncSpace(Case.Z, lo, hi, args.particles), depth=args.depth)
@@ -145,12 +155,13 @@ def _cmd_verify(args) -> Report:
     if lo != 1:
         raise ValueError("rep-n windows start at 1")
     space = TruncSpace(Case.N, 1, hi, args.particles)
+    max_index = hi if args.max_index is None else args.max_index
     report = Report(suite="rep-n", config={"window": [1, hi],
                                            "particles": args.particles,
                                            "levels": args.levels,
-                                           "maxIndex": args.max_index or hi})
+                                           "maxIndex": max_index})
     for level in (int(v) for v in args.levels.split(",")):
-        sub = verify_rep(RepSpec(level, "formal", space), args.max_index or hi)
+        sub = verify_rep(RepSpec(level, "formal", space), max_index)
         for inst in sub.instances:
             report.add(Instance(f"level{level}:{inst.id}", inst.passed,
                                 inst.discrepancy, inst.details))
@@ -170,8 +181,7 @@ def _family_pairs(text: str) -> List[Tuple[List[int], List[int]]]:
 
 
 def _cmd_moments(args):
-    if args.max_order < 0:
-        raise ValueError(f"--max-order must be >= 0, got {args.max_order}")
+    _nonnegative("--max-order", args.max_order)
     x = parse(args.expr, Case.coerce(args.case))
     seq = moment_sequence(x, args.max_order)
     if args.csv:
@@ -203,7 +213,7 @@ def _cmd_cesaro(args) -> Report:
 
 def _cmd_limit(args):
     xi = _parse_tuple(args.vector)
-    ns = [int(v) for v in str(args.N).split(",")]
+    ns = [_nonnegative("--N", int(v)) for v in str(args.N).split(",")]
     if 2 * max(ns) + 1 > LIMIT_MAX_WIDTH:
         raise SizeLimitError(f"limit --N {max(ns)} averages over {2 * max(ns) + 1} indices, "
                              f"above the bound of {LIMIT_MAX_WIDTH:,}")

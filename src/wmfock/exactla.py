@@ -4,6 +4,12 @@ Rows are sparse dicts mapping a hashable, orderable column key to a nonzero
 scalar.  Elimination is exact; inexact entries (floats) are rejected so a
 rank or nullspace result is always a certificate, never an estimate.
 
+Pivot rows are in echelon form: each is 1 at its smallest key, its pivot,
+and its other keys are larger.  A row is reduced by subtracting the pivots
+it meets smallest key first, so each pivot is used at most once and no
+eliminated key comes back.  The nullspace is read from one
+back-substitution through the pivots, largest key first.
+
 Elimination runs on the scalars' own operators: int and Fraction natively,
 GaussianRational through its operator methods.  Each stored entry is
 demoted to int when it is a Fraction with denominator 1, so pivot rows and
@@ -13,6 +19,7 @@ nullspace vectors hold the scalar tower's normal form.
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from typing import Dict, Hashable, Iterable, List, Sequence
 
 from .scalars import demote, div, is_exact
@@ -20,31 +27,11 @@ from .scalars import demote, div, is_exact
 Row = Dict[Hashable, object]
 
 
-def _scale_row(row: Row, c) -> Row:
-    return {k: demote(v * c) for k, v in row.items()}
-
-
-def _axpy(row: Row, c, other: Row) -> None:
-    # row += c * other, dropping entries that cancel to zero
-    for k, v in other.items():
-        s = demote(row.get(k, 0) + c * v)
-        if s:
-            row[k] = s
-        else:
-            row.pop(k, None)
-
-
 class Eliminator:
-    """Incremental exact Gaussian elimination with optional full reduction.
+    """Incremental exact Gaussian elimination into echelon pivot rows."""
 
-    With reduce_full=True the pivot rows are kept mutually reduced (RREF),
-    which is what nullspace extraction needs; rank-only callers can skip
-    the extra work.
-    """
-
-    def __init__(self, reduce_full: bool = False):
+    def __init__(self):
         self.pivots: Dict[Hashable, Row] = {}
-        self.reduce_full = reduce_full
 
     @property
     def rank(self) -> int:
@@ -52,20 +39,32 @@ class Eliminator:
 
     def reduce(self, row: Row) -> Row:
         """Return row reduced against the current pivot rows (row unchanged)."""
-        for v in row.values():
+        pivots = self.pivots
+        heap = []
+        for k, v in row.items():
             if type(v) is not int and type(v) is not Fraction and not is_exact(v):
                 raise TypeError("exact elimination requires int/Fraction/GaussianRational entries")
+            if k in pivots:
+                heap.append(k)
+        heapify(heap)
         work = dict(row)
-        while True:
-            hit = None
-            for k in work:
-                if k in self.pivots:
-                    hit = k
-                    break
-            if hit is None:
-                return work
-            _axpy(work, -work[hit], self.pivots[hit])
-            work.pop(hit, None)
+        while heap:
+            key = heappop(heap)
+            c = work.pop(key, None)
+            if c is None:  # cancelled by an earlier subtraction
+                continue
+            for k, v in pivots[key].items():
+                old = work.get(k)
+                if old is None:
+                    if k != key:
+                        work[k] = demote(-c * v)
+                        if k in pivots:
+                            heappush(heap, k)
+                elif s := demote(old - c * v):
+                    work[k] = s
+                else:
+                    del work[k]
+        return work
 
     def add_row(self, row: Row) -> bool:
         """Insert a row; returns True if it added a new pivot."""
@@ -73,19 +72,14 @@ class Eliminator:
         if not work:
             return False
         key = min(work)
-        work = _scale_row(work, div(1, work[key]))
-        work[key] = 1
-        if self.reduce_full:
-            for prow in self.pivots.values():
-                if key in prow:
-                    _axpy(prow, -prow[key], work)
-                    prow.pop(key, None)
-        self.pivots[key] = work
+        inv = div(1, work[key])
+        self.pivots[key] = prow = {k: demote(v * inv) for k, v in work.items()}
+        prow[key] = 1
         return True
 
 
 def rank_of(rows: Iterable[Row]) -> int:
-    elim = Eliminator(reduce_full=False)
+    elim = Eliminator()
     for row in rows:
         elim.add_row(row)
     return elim.rank
@@ -94,21 +88,26 @@ def rank_of(rows: Iterable[Row]) -> int:
 def nullspace(rows: Iterable[Row], columns: Sequence[Hashable]) -> List[Row]:
     """Exact basis of the solution space of row . x = 0 over the given columns.
 
-    Basis vectors are returned as sparse dicts; each has a distinguished free
-    column set to 1, so they are independent by construction.
+    Basis vectors are returned as sparse dicts, one per free column in the
+    order of columns; each has its free column set to 1 and every other
+    free column 0, so they are independent by construction and do not
+    depend on the order of the rows.
     """
-    elim = Eliminator(reduce_full=True)
+    elim = Eliminator()
     for row in rows:
         elim.add_row(row)
-    pivot_keys = set(elim.pivots)
-    basis: List[Row] = []
-    for free in columns:
-        if free in pivot_keys:
-            continue
-        vec: Row = {free: 1}
-        for pk, prow in elim.pivots.items():
-            c = prow.get(free)
-            if c:
-                vec[pk] = -c
-        basis.append(vec)
-    return basis
+    # x[p] = -(sum of prow[k] x[k] over the other keys k), in the free columns
+    solved: Dict[Hashable, Row] = {}
+    for p in sorted(elim.pivots, reverse=True):
+        acc: Row = {}
+        for k, v in elim.pivots[p].items():
+            if k != p:
+                for f, w in solved[k].items() if k in solved else ((k, 1),):
+                    acc[f] = acc.get(f, 0) - v * w
+        solved[p] = {f: demote(s) for f, s in acc.items() if s}
+    basis: Dict[Hashable, Row] = {f: {f: 1} for f in columns if f not in elim.pivots}
+    for p, x in solved.items():
+        for f, s in x.items():
+            if f in basis:
+                basis[f][p] = s
+    return list(basis.values())

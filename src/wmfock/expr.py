@@ -25,7 +25,8 @@ parts are any of those and whose re may be negated (exact parts give a
 Gaussian rational, otherwise a float complex).  Digits are any Unicode
 decimal digits, and whitespace may stand between tokens and inside a
 literal.  Any malformed input raises ParseError, whose pos is the offset
-of the offending token or character.
+of the offending token or character; a complex literal without its ')'
+is named as unclosed at its 'i'.
 """
 
 from __future__ import annotations
@@ -317,7 +318,8 @@ _NUMBER = rf"(?: \d+ \s*/\s* {_REAL} | {_REAL} )"
 _TOKEN = re.compile(rf"""
       (?P<name> [^\W\d_]+ )                             # generator, I, or any other word
     | (?P<complex> \( \s* (?P<neg>-)? \s* (?P<re>{_NUMBER}) \s*
-                   (?P<op>[+-]) \s* (?P<im>{_NUMBER}) \s* i \s* \) )   # (re ± im i)
+                   (?P<op>[+-]) \s* (?P<im>{_NUMBER}) \s* i (?![^\W\d_])
+                   (?: \s* \) )? )                      # (re ± im i), unclosed refused by _lex
     | (?P<sym> [-+*/()'] )                              # symbol
     | (?P<num> {_NUMBER} )                              # number, p/q as one token
     | (?P<bad> \S )                                     # any other character
@@ -335,6 +337,9 @@ def _lex(text: str):
         if (kind == "name" or kind == "bad") and not val.isalpha():
             k = next(k for k, ch in enumerate(val) if not ch.isalpha())
             raise ParseError(f"unexpected character {val[k]!r}", pos + k)
+        if kind == "complex" and not val.endswith(")"):
+            raise ParseError("unclosed complex literal: expected ')' after its 'i'",
+                             pos + len(val) - 1)
     return toks + [(None, None, len(text))]
 
 

@@ -109,6 +109,16 @@ def test_verify_rep_n_suite():
     assert "vacuum-projection" in kinds and "gauge-degree" in kinds
 
 
+def test_verify_rep_n_max_index_zero():
+    # 0 is an index, not "unset": only the index-0 instances and the vacuum projection
+    rep = run_json("verify", "--suite", "rep-n", "--window", "1..3",
+                   "--particles", "2", "--max-index", "0")
+    assert rep["config"]["maxIndex"] == 0 and rep["summary"]["failed"] == 0
+    ids = {i["id"].split(":")[1] for i in rep["instances"]}
+    assert ids == {"sum-relation[0]", "partial-isometry[0]", "vacuum-projection",
+                   "gauge-degree[0]"}
+
+
 def test_cesaro_bound():
     rep = run_json("cesaro", "--word", "c(0)", "--n", "4")
     inst = rep["instances"][0]
@@ -314,7 +324,7 @@ def test_scalar_literal_reports_byte_identical(args, digest):
     assert hashlib.sha256(masked).hexdigest() == digest
 
 
-@pytest.mark.parametrize("text, pos", [("c(²)", 2), ("(1+2i", 4)])
+@pytest.mark.parametrize("text, pos", [("c(²)", 2), ("(1+2i", 4), ("(1/2-3i", 6)])
 def test_malformed_expression_is_one_positioned_line(text, pos):
     code, out, err = run_cli("rewrite", "--case", "z", "--expr", text)
     assert code == 2 and out == b""
@@ -383,6 +393,13 @@ def test_certificate_float_coefficient():
      b"could check more than 20,000,000 columns"),
     (("verify", "--suite", "exel-laca", "--window", "-300..300", "--particles", "1",
       "--max-size", "0"), b"890,724 identities"),
+    (("verify", "--suite", "rep-n", "--window", "1..3", "--particles", "2",
+      "--max-index", "-1"), b"--max-index must be >= 0"),
+    (("verify", "--suite", "exel-laca", "--window", "1..6", "--particles", "2",
+      "--max-size", "-1"), b"--max-size must be >= 0"),
+    (("limit", "--N", "-1"), b"--N must be >= 0"),
+    (("verify", "--suite", "relations-z", "--window", "-3..3", "--particles", "2",
+      "--depth", "-1"), b"--depth must be >= 0"),
 ])
 def test_numeric_and_spec_faults_exit_2(args, expected):
     code, out, err = run_cli(*args)

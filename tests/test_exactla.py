@@ -1,5 +1,6 @@
 """Exact sparse elimination: rank, nullspace, and the float-free guarantee."""
 
+import hashlib
 from fractions import Fraction
 from random import Random
 
@@ -7,8 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wmfock import scalars as sc
+from wmfock import fock, scalars as sc
 from wmfock.exactla import Eliminator, nullspace, rank_of
+from wmfock.expr import parse
+from wmfock.spectral import commutant_dim
 
 
 def rows_of(matrix):
@@ -93,7 +96,7 @@ def test_native_and_tower_routes_agree(matrix):
     for v in basis:
         for r in rows:
             assert sum(c * v.get(j, 0) for j, c in r.items()) == 0
-    elim = Eliminator(reduce_full=True)
+    elim = Eliminator()
     for r in rows:
         elim.add_row(r)
     for vec in basis + list(elim.pivots.values()):
@@ -135,3 +138,105 @@ def test_rank_invariant_under_row_scaling():
     rows = rows_of([[2, 3, 0], [0, 1, 5]])
     scaled = [{j: v * Fraction(7, 3) for j, v in r.items()} for r in rows]
     assert rank_of(rows) == rank_of(scaled)
+
+
+def rref_nullspace(rows, columns):
+    """Reference: the nullspace as read from pivot rows kept in RREF, with
+    every new pivot cleared from the rows before it.  Returns the echelon
+    pivot rows too, each as it was when it was added: a row reduced against
+    RREF rows is the row reduced against echelon ones, as both are the one
+    combination free of every pivot key."""
+    def axpy(row, c, other):
+        for k, v in other.items():
+            s = sc.demote(row.get(k, 0) + c * v)
+            if s:
+                row[k] = s
+            else:
+                row.pop(k, None)
+
+    pivots, echelon = {}, {}
+    for row in rows:
+        work = dict(row)
+        while hit := [k for k in work if k in pivots]:
+            axpy(work, -work[hit[0]], pivots[hit[0]])
+            work.pop(hit[0], None)
+        if not work:
+            continue
+        key = min(work)
+        inv = sc.div(1, work[key])
+        work = {k: sc.demote(v * inv) for k, v in work.items()}
+        work[key] = 1
+        echelon[key] = dict(work)
+        for prow in pivots.values():
+            if key in prow:
+                axpy(prow, -prow[key], work)
+                prow.pop(key, None)
+        pivots[key] = work
+    basis = []
+    for free in columns:
+        if free not in pivots:
+            vec = {free: 1}
+            vec.update((pk, -prow[free]) for pk, prow in pivots.items() if prow.get(free))
+            basis.append(vec)
+    return echelon, basis
+
+
+# p/q + im i with small parts; im is 0 about half the time, and then the
+# entry stays a Fraction, Fraction(k, 1) included
+exact = st.builds(lambda p, q, im: sc.gaussian(Fraction(p, q), im) if im else Fraction(p, q),
+                  st.integers(-3, 3), st.integers(1, 3),
+                  st.sampled_from([0, 0, 0, 1, -1, Fraction(1, 2)]))
+
+
+@st.composite
+def sparse_systems(draw):
+    # up to 12 columns, keyed out of order; rows may be empty or repeated
+    columns = draw(st.permutations(range(draw(st.integers(1, 12)))))
+    row = st.dictionaries(st.sampled_from(columns), exact, max_size=6)
+    rows = [{k: v for k, v in r.items() if v} for r in draw(st.lists(row, max_size=12))]
+    if rows:
+        rows += draw(st.lists(st.sampled_from(rows), max_size=3))
+    return draw(st.permutations(rows)), columns
+
+
+def sorted_described(vectors):
+    # each vector's keys are distinct, so sorting never compares the types
+    return [sorted(vec) for vec in described(vectors)]
+
+
+@given(sparse_systems())
+@settings(max_examples=150, deadline=None)
+def test_echelon_elimination_matches_rref_reference(system):
+    rows, columns = system
+    echelon, want = rref_nullspace(rows, columns)
+    basis = nullspace(rows, columns)
+    assert rank_of(rows) == len(echelon)
+    assert sorted_described(basis) == sorted_described(want)
+    for v in basis:
+        for r in rows:
+            assert sum(c * v.get(j, 0) for j, c in r.items()) == 0
+    elim = Eliminator()
+    for r in rows:
+        elim.add_row(r)
+    assert elim.pivots.keys() == echelon.keys()
+    assert all(sorted_described([elim.pivots[k]]) == sorted_described([echelon[k]])
+               for k in echelon)
+    for key, prow in elim.pivots.items():
+        # echelon form: 1 at the smallest key, every other key larger
+        assert prow[key] == 1 and min(prow) == key
+    for vec in basis + list(elim.pivots.values()):
+        for v in vec.values():
+            assert v and not (type(v) is Fraction and v.denominator == 1)
+
+
+def test_commutant_basis_n55_byte_identical():
+    # x(1), x(2) on N 1..2 with 9 particles: n = 55, 3,025 unknowns; the
+    # sha256 of the sorted basis entries, as recorded before the echelon
+    # elimination replaced the RREF one
+    space = fock.TruncSpace("N", 1, 2, 9)
+    dim, basis = commutant_dim([fock.evaluate(space, parse(f"x({i})", "N")) for i in (1, 2)])
+    data = repr([sorted((pos, repr(v), type(v).__name__) for pos, v in m.entries.items())
+                 for m in basis])
+    assert basis[0].n_rows == 55 and dim == 1
+    assert hashlib.sha256(data.encode()).hexdigest() == (
+        "e0dc14c55a67776f07fbd7271654636434bd1ea80c919cec57c1a16ae23e6e49")

@@ -327,3 +327,14 @@ def test_corpus_rejections_are_parse_errors(seed):
             assert 0 <= err.pos <= len(text), text
         except ValueError as err:
             pytest.fail(f"{text!r}: bare {err!r}")
+
+
+@pytest.mark.parametrize("text, pos", [("(1+2i", 4), ("(1/2-3i", 6), ("-(1 + 2 i c(1)", 8),
+                                       ("(1+2i3)", 4)])
+def test_unclosed_complex_literal_is_named(text, pos):
+    with pytest.raises(ParseError, match=r"^unclosed complex literal: expected '\)'") as err:
+        parse(text, "Z")
+    assert err.value.pos == pos
+    # a word after the 'i' is no literal's end: it stays an unknown generator
+    with pytest.raises(ParseError, match="unknown generator 'ix'"):
+        parse("(1+2ix)", "Z")
