@@ -4,11 +4,12 @@ Rows are sparse dicts mapping a hashable, orderable column key to a nonzero
 scalar.  Elimination is exact; inexact entries (floats) are rejected so a
 rank or nullspace result is always a certificate, never an estimate.
 
-Pivot rows are in echelon form: each is 1 at its smallest key, its pivot,
-and its other keys are larger.  A row is reduced by subtracting the pivots
-it meets smallest key first, so each pivot is used at most once and no
-eliminated key comes back.  The nullspace is read from one
-back-substitution through the pivots, largest key first.
+Pivot rows are kept in reduced row echelon form: each is 1 at its smallest
+key, its pivot, and holds no other pivot's key.  So a row is reduced by
+subtracting once each pivot it meets, in any order, and no pivot key comes
+back; a new pivot is cleared from the rows that hold its key, found through
+an index from each free column to its rows; and the nullspace is read off
+the pivot rows.
 
 Elimination runs on the scalars' own operators: int and Fraction natively,
 GaussianRational through its operator methods.  Each stored entry is
@@ -19,7 +20,6 @@ nullspace vectors hold the scalar tower's normal form.
 from __future__ import annotations
 
 from fractions import Fraction
-from heapq import heapify, heappop, heappush
 from typing import Dict, Hashable, Iterable, List, Sequence
 
 from .scalars import demote, div, is_exact
@@ -27,11 +27,29 @@ from .scalars import demote, div, is_exact
 Row = Dict[Hashable, object]
 
 
+def _subtract(row: Row, c, prow: Row, pivot: Hashable) -> List[Hashable]:
+    """row -= c * prow off prow's pivot key; returns the keys that enter row."""
+    entered = []
+    for k, v in prow.items():
+        if k != pivot:
+            old = row.get(k)
+            if old is None:
+                row[k] = demote(-c * v)
+                entered.append(k)
+            elif s := demote(old - c * v):
+                row[k] = s
+            else:
+                del row[k]
+    return entered
+
+
 class Eliminator:
-    """Incremental exact Gaussian elimination into echelon pivot rows."""
+    """Incremental exact Gaussian elimination into reduced pivot rows."""
 
     def __init__(self):
         self.pivots: Dict[Hashable, Row] = {}
+        # free column -> pivot keys of the rows holding it, stale ones included
+        self._holders: Dict[Hashable, List[Hashable]] = {}
 
     @property
     def rank(self) -> int:
@@ -39,42 +57,34 @@ class Eliminator:
 
     def reduce(self, row: Row) -> Row:
         """Return row reduced against the current pivot rows (row unchanged)."""
-        pivots = self.pivots
-        heap = []
-        for k, v in row.items():
-            if type(v) is not int and type(v) is not Fraction and not is_exact(v):
-                raise TypeError("exact elimination requires int/Fraction/GaussianRational entries")
-            if k in pivots:
-                heap.append(k)
-        heapify(heap)
+        if not set(map(type, row.values())) <= {int, Fraction} and not all(map(is_exact, row.values())):
+            raise TypeError("exact elimination requires int/Fraction/GaussianRational entries")
         work = dict(row)
-        while heap:
-            key = heappop(heap)
-            c = work.pop(key, None)
-            if c is None:  # cancelled by an earlier subtraction
-                continue
-            for k, v in pivots[key].items():
-                old = work.get(k)
-                if old is None:
-                    if k != key:
-                        work[k] = demote(-c * v)
-                        if k in pivots:
-                            heappush(heap, k)
-                elif s := demote(old - c * v):
-                    work[k] = s
-                else:
-                    del work[k]
+        for key in self.pivots.keys() & row.keys():
+            _subtract(work, work.pop(key), self.pivots[key], key)
         return work
 
     def add_row(self, row: Row) -> bool:
         """Insert a row; returns True if it added a new pivot."""
-        work = self.reduce(row)
-        if not work:
+        prow = self.reduce(row)
+        if not prow:
             return False
-        key = min(work)
-        inv = div(1, work[key])
-        self.pivots[key] = prow = {k: demote(v * inv) for k, v in work.items()}
-        prow[key] = 1
+        key = min(prow)
+        # an all-int row that is 1 at its pivot is scaled and demoted already
+        if prow[key] != 1 or set(map(type, prow.values())) != {int}:
+            inv = div(1, prow[key])
+            prow = {k: demote(v * inv) for k, v in prow.items()}
+            prow[key] = 1
+        holders = self._holders
+        for k in prow:
+            if k != key:
+                holders.setdefault(k, []).append(key)
+        for p in holders.pop(key, ()):
+            other = self.pivots[p]
+            if key in other:
+                for k in _subtract(other, other.pop(key), prow, key):
+                    holders[k].append(p)
+        self.pivots[key] = prow
         return True
 
 
@@ -96,18 +106,8 @@ def nullspace(rows: Iterable[Row], columns: Sequence[Hashable]) -> List[Row]:
     elim = Eliminator()
     for row in rows:
         elim.add_row(row)
-    # x[p] = -(sum of prow[k] x[k] over the other keys k), in the free columns
-    solved: Dict[Hashable, Row] = {}
-    for p in sorted(elim.pivots, reverse=True):
-        acc: Row = {}
-        for k, v in elim.pivots[p].items():
-            if k != p:
-                for f, w in solved[k].items() if k in solved else ((k, 1),):
-                    acc[f] = acc.get(f, 0) - v * w
-        solved[p] = {f: demote(s) for f, s in acc.items() if s}
     basis: Dict[Hashable, Row] = {f: {f: 1} for f in columns if f not in elim.pivots}
-    for p, x in solved.items():
-        for f, s in x.items():
-            if f in basis:
-                basis[f][p] = s
+    for p, prow in elim.pivots.items():
+        for f in prow.keys() & basis.keys():
+            basis[f][p] = -prow[f]
     return list(basis.values())

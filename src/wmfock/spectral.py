@@ -56,8 +56,9 @@ DECOMPOSE_MAX_WORK = 1_000_000_000
 
 # commutant_dim solves for the n**2 entries of T exactly, so the commutant
 # command refuses, before building a matrix, a space of dimension above this;
-# x(1), x(2) at n = 105 take about 0.1 s, but generators whose elimination
-# fills in cost far more: x(1) + x(2) alone takes about 0.3 s at n = 15
+# x(1), x(2) at n = 105 take about 0.15 s.  It does not bound the time: where
+# the elimination fills in, its exact fractions grow, and x(1) + 1/3 x(2) with
+# (1+2i) c(1) c(2) + a(2) + p(1) takes about 1 s at n = 15 and 11 s at n = 21
 COMMUTANT_MAX_DIM = 100
 
 # limit_residual applies a(i) and c(i) twice per index of its window of

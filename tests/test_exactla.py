@@ -1,6 +1,5 @@
 """Exact sparse elimination: rank, nullspace, and the float-free guarantee."""
 
-import hashlib
 from fractions import Fraction
 from random import Random
 
@@ -8,10 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wmfock import fock, scalars as sc
+from wmfock import scalars as sc
 from wmfock.exactla import Eliminator, nullspace, rank_of
-from wmfock.expr import parse
-from wmfock.spectral import commutant_dim
 
 
 def rows_of(matrix):
@@ -141,11 +138,8 @@ def test_rank_invariant_under_row_scaling():
 
 
 def rref_nullspace(rows, columns):
-    """Reference: the nullspace as read from pivot rows kept in RREF, with
-    every new pivot cleared from the rows before it.  Returns the echelon
-    pivot rows too, each as it was when it was added: a row reduced against
-    RREF rows is the row reduced against echelon ones, as both are the one
-    combination free of every pivot key."""
+    """Reference: the nullspace as read from pivot rows kept in RREF by
+    scanning every pivot row for each new pivot, and those pivot rows."""
     def axpy(row, c, other):
         for k, v in other.items():
             s = sc.demote(row.get(k, 0) + c * v)
@@ -154,7 +148,7 @@ def rref_nullspace(rows, columns):
             else:
                 row.pop(k, None)
 
-    pivots, echelon = {}, {}
+    pivots = {}
     for row in rows:
         work = dict(row)
         while hit := [k for k in work if k in pivots]:
@@ -166,7 +160,6 @@ def rref_nullspace(rows, columns):
         inv = sc.div(1, work[key])
         work = {k: sc.demote(v * inv) for k, v in work.items()}
         work[key] = 1
-        echelon[key] = dict(work)
         for prow in pivots.values():
             if key in prow:
                 axpy(prow, -prow[key], work)
@@ -178,7 +171,7 @@ def rref_nullspace(rows, columns):
             vec = {free: 1}
             vec.update((pk, -prow[free]) for pk, prow in pivots.items() if prow.get(free))
             basis.append(vec)
-    return echelon, basis
+    return pivots, basis
 
 
 # p/q + im i with small parts; im is 0 about half the time, and then the
@@ -190,53 +183,44 @@ exact = st.builds(lambda p, q, im: sc.gaussian(Fraction(p, q), im) if im else Fr
 
 @st.composite
 def sparse_systems(draw):
-    # up to 12 columns, keyed out of order; rows may be empty or repeated
+    # up to 12 columns, keyed out of order; rows may be empty or repeated,
+    # and their entries are drawn exact or all int
     columns = draw(st.permutations(range(draw(st.integers(1, 12)))))
-    row = st.dictionaries(st.sampled_from(columns), exact, max_size=6)
+    entry = draw(st.sampled_from([exact, st.integers(-2, 2)]))
+    row = st.dictionaries(st.sampled_from(columns), entry, max_size=6)
     rows = [{k: v for k, v in r.items() if v} for r in draw(st.lists(row, max_size=12))]
     if rows:
         rows += draw(st.lists(st.sampled_from(rows), max_size=3))
     return draw(st.permutations(rows)), columns
 
 
-def sorted_described(vectors):
+def described_entries(vectors):
     # each vector's keys are distinct, so sorting never compares the types
     return [sorted(vec) for vec in described(vectors)]
 
 
 @given(sparse_systems())
 @settings(max_examples=150, deadline=None)
-def test_echelon_elimination_matches_rref_reference(system):
+def test_indexed_rref_matches_scanned_reference(system):
     rows, columns = system
-    echelon, want = rref_nullspace(rows, columns)
+    pivots, want = rref_nullspace(rows, columns)
     basis = nullspace(rows, columns)
-    assert rank_of(rows) == len(echelon)
-    assert sorted_described(basis) == sorted_described(want)
+    assert rank_of(rows) == len(pivots)
+    # the same vectors, each with its keys in the same order
+    assert described(basis) == described(want)
     for v in basis:
         for r in rows:
             assert sum(c * v.get(j, 0) for j, c in r.items()) == 0
     elim = Eliminator()
     for r in rows:
         elim.add_row(r)
-    assert elim.pivots.keys() == echelon.keys()
-    assert all(sorted_described([elim.pivots[k]]) == sorted_described([echelon[k]])
-               for k in echelon)
+    assert elim.pivots.keys() == pivots.keys()
+    assert all(described_entries([elim.pivots[k]]) == described_entries([pivots[k]])
+               for k in pivots)
     for key, prow in elim.pivots.items():
-        # echelon form: 1 at the smallest key, every other key larger
+        # RREF: 1 at the smallest key, and no other pivot's key
         assert prow[key] == 1 and min(prow) == key
+        assert not (prow.keys() - {key}) & elim.pivots.keys()
     for vec in basis + list(elim.pivots.values()):
         for v in vec.values():
             assert v and not (type(v) is Fraction and v.denominator == 1)
-
-
-def test_commutant_basis_n55_byte_identical():
-    # x(1), x(2) on N 1..2 with 9 particles: n = 55, 3,025 unknowns; the
-    # sha256 of the sorted basis entries, as recorded before the echelon
-    # elimination replaced the RREF one
-    space = fock.TruncSpace("N", 1, 2, 9)
-    dim, basis = commutant_dim([fock.evaluate(space, parse(f"x({i})", "N")) for i in (1, 2)])
-    data = repr([sorted((pos, repr(v), type(v).__name__) for pos, v in m.entries.items())
-                 for m in basis])
-    assert basis[0].n_rows == 55 and dim == 1
-    assert hashlib.sha256(data.encode()).hexdigest() == (
-        "e0dc14c55a67776f07fbd7271654636434bd1ea80c919cec57c1a16ae23e6e49")

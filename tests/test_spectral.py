@@ -238,6 +238,12 @@ def _level_zero_gaussian():
     return [rep_matrix(spec, i) for i in range(4)]
 
 
+def _positions_n12x9():
+    # n = 55: 3,025 unknowns
+    space = TruncSpace("N", 1, 2, 9)
+    return [evaluate(space, parse(f"x({i})", "N")) for i in (1, 2)]
+
+
 def _rational_diagonal():
     # M[r, r] - M[c, c] is a sum of Fractions, and cancels for r, c = 0, 2
     return [SparseMat(3, 3, {(0, 0): Fraction(1, 2), (1, 1): Fraction(-1, 2),
@@ -249,6 +255,8 @@ def _rational_diagonal():
     # rational entries
     (_positions_n13x4, 2,
      "ea8318e7ed22a552ff5c56f2556a9fc32a5c3163aecfa811040e90c005c735f3"),
+    (_positions_n12x9, 1,
+     "4d1be548f3c372d5d487143109850c013a41617c756cc3619004dfae79314416"),
     # a Gaussian phase
     (_level_zero_gaussian, 1,
      "0ae706a265a444fbf04cb9b20dbf67c4a24ea0d01f2d1e902378d85e71d8aa12"),
