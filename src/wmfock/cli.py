@@ -52,6 +52,7 @@ from .spectral import (
     RepSpec,
     build_direct_sum,
     check_decompose_size,
+    check_rep_size,
     commutant_dim,
     decompose,
     limit_residual,
@@ -160,7 +161,9 @@ def _cmd_verify(args) -> Report:
                                            "particles": args.particles,
                                            "levels": args.levels,
                                            "maxIndex": max_index})
-    for level in (int(v) for v in args.levels.split(",")):
+    levels = [int(v) for v in args.levels.split(",")]
+    check_rep_size(space, len(levels), max_index)
+    for level in levels:
         sub = verify_rep(RepSpec(level, "formal", space), max_index)
         for inst in sub.instances:
             report.add(Instance(f"level{level}:{inst.id}", inst.passed,

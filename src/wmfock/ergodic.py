@@ -103,8 +103,7 @@ def check_cesaro_bound(space: TruncSpace, word_element: Element, n: int,
     word, coeff = next(iter(word_element.terms.items()))
     if classify_word(word).kind != "lambda":
         raise ValueError("the Cesaro bound applies to lambda words only")
-    if space.dimension > space.cap:
-        raise SizeLimitError(f"space dimension {space.dimension} exceeds cap {space.cap}")
+    space.check_cap()
     if n <= 0:
         raise ValueError("average length must be positive")
     # the lowest index of any shift is in shift 0, or in shift 1 once shift
@@ -240,13 +239,10 @@ def check_nonconvergence(space: TruncSpace, n: int) -> NonconvergenceCheck:
         raise ValueError(f"window must contain [{-n}, 0]")
     if space.trunc < 2:
         raise ValueError("particle cap must be at least 2 so the witness column is interior")
-    evals = space.dimension * n
-    if evals > NONCONVERGENCE_MAX_EVALS:
-        raise SizeLimitError(f"non-convergence check needs {evals} word evaluations "
-                             f"(n = {n} words on {space.dimension} basis tuples), "
-                             f"above the bound of {NONCONVERGENCE_MAX_EVALS}")
-    if space.dimension > space.cap:
-        raise SizeLimitError(f"space dimension {space.dimension} exceeds cap {space.cap}")
+    if space.dimension_exceeds(NONCONVERGENCE_MAX_EVALS // n):
+        raise SizeLimitError(f"non-convergence check: n = {n} words on every basis tuple need "
+                             f"word evaluations above the bound of {NONCONVERGENCE_MAX_EVALS}")
+    space.check_cap()
     words = [((-k, False), (-k, True)) for k in range(n)]
     diag_ok = True
     most = 0  # the largest |n * D[t, t]|

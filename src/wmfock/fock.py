@@ -25,12 +25,11 @@ Basis order is by particle count, then ascending lexicographic order of
 the tuple, and is part of the interface: matrix positions are stable.
 
 Spaces are lazy: constructing one never materializes the basis, and the
-dimension cap is enforced only when a basis listing is actually needed.
-Identity checks therefore run column by column on interior tuples and can
-use windows whose full dimension is far beyond the cap.  Every column is
-built by column_action, whatever the coefficients: a lone coefficient is
-stored as it is, and coefficients meeting at one image are summed by the
-scalar layer.
+cap is checked, with dimension_exceeds like every size guard, only when a
+basis listing is needed, so identity checks can run column by column on
+interior tuples of windows far beyond the cap.  Every column is built by
+column_action, whatever the coefficients: a lone coefficient is stored as
+it is, and coefficients meeting at one image are summed by the scalar layer.
 
 Interior contract: a word whose creator surplus is at most r maps the
 span of basis tuples with at most trunc - r particles exactly as the
@@ -83,16 +82,27 @@ class TruncSpace:
 
     @property
     def dimension(self) -> int:
-        return sum(math.comb(self.width + k - 1, k) for k in range(self.trunc + 1))
+        return math.comb(self.width + self.trunc, self.trunc)
 
     def level_dimension(self, k: int) -> int:
         return math.comb(self.width + k - 1, k)
 
     def dimension_exceeds(self, bound: int) -> bool:
-        """Whether the dimension passes bound, summed level by level and
-        given up as soon as it does, so a huge space is refused at once."""
-        levels = (self.level_dimension(k) for k in range(self.trunc + 1))
-        return any(dim > bound for dim in itertools.accumulate(levels))
+        """Whether the dimension passes bound: with m, k the larger and smaller
+        of width and trunc, C(m + j, j) for j = 0..k, each at least twice the
+        last, is built until it passes bound or reaches the dimension C(m + k, k)."""
+        m, k = max(self.width, self.trunc), min(self.width, self.trunc)
+        count, j = 1, 0
+        while count <= bound and j < k:
+            j += 1
+            count = count * (m + j) // j
+        return count > bound
+
+    def check_cap(self) -> None:
+        """Raise SizeLimitError when the dimension passes the cap."""
+        if self.dimension_exceeds(self.cap):
+            raise SizeLimitError(f"space on [{self.lo}, {self.hi}] with {self.trunc} "
+                                 f"particles exceeds cap {self.cap}")
 
     def tuples(self, max_particles: Optional[int] = None,
                lo: Optional[int] = None, hi: Optional[int] = None) -> Iterator[BasisTuple]:
@@ -111,9 +121,7 @@ class TruncSpace:
 
     def materialize(self) -> List[BasisTuple]:
         if self._basis is None:
-            if self.dimension > self.cap:
-                raise SizeLimitError(
-                    f"space dimension {self.dimension} exceeds cap {self.cap}")
+            self.check_cap()
             self._basis = list(self.tuples())
             self._index = {t: p for p, t in enumerate(self._basis)}
         return self._basis

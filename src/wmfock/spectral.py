@@ -61,6 +61,12 @@ DECOMPOSE_MAX_WORK = 1_000_000_000
 # (1+2i) c(1) c(2) + a(2) + p(1) takes about 1 s at n = 15 and 11 s at n = 21
 COMMUTANT_MAX_DIM = 100
 
+# verify_rep forms about (max_index + 2)**2 products of matrices with an entry
+# per tuple, a tuple costing its length and a product at least REP_MIN_COST;
+# check_rep_size refuses rep-n runs past REP_MAX_WORK, about one second
+REP_MAX_WORK = 100_000_000
+REP_MIN_COST = 2_000
+
 # limit_residual applies a(i) and c(i) twice per index of its window of
 # 2N + 1 indices, so the limit command refuses, before any work, a wider
 # window than this; N = 10,000 takes about 0.2 s
@@ -146,7 +152,7 @@ def moment_sequence(x: Element, max_order: int) -> List:
     if max_order < 0:
         return []
     if max_order * max_order > MOMENTS_MAX_WORK:
-        _refuse_moments(max_order, None)
+        _refuse_moments(max_order)
     out = [1]
     idx = x.indices()
     if not idx or max_order == 0:
@@ -157,8 +163,8 @@ def moment_sequence(x: Element, max_order: int) -> List:
     if x.case is not Case.Z:
         lo = max(lo, 1)
     space = TruncSpace(x.case, lo, hi, max(1, max_order * x.max_word_len()))
-    if max_order * space.dimension > MOMENTS_MAX_WORK:
-        _refuse_moments(max_order, space.dimension)
+    if space.dimension_exceeds(MOMENTS_MAX_WORK // max_order):
+        _refuse_moments(max_order)
     vec: Dict[BasisTuple, scalars.Scalar] = {(): 1}
     for _ in range(max_order):
         vec = apply_element_to_vector(space, x, vec)
@@ -166,12 +172,9 @@ def moment_sequence(x: Element, max_order: int) -> List:
     return out
 
 
-def _refuse_moments(max_order: int, tuples: Optional[int]) -> None:
-    reach = "" if tuples is None else f" over {tuples} basis tuples"
-    work = max_order * max(max_order, tuples or 0)
-    raise SizeLimitError(f"moments to order {max_order}{reach} need {work} steps (the order "
-                         "times the larger of the order and the tuples), above the bound "
-                         f"of {MOMENTS_MAX_WORK}")
+def _refuse_moments(max_order: int) -> None:
+    raise SizeLimitError(f"moments to order {max_order}: the order times the larger of the order "
+                         f"and the basis tuples reached is above the bound of {MOMENTS_MAX_WORK}")
 
 
 # --- the polynomial family on the truncated space ---------------------------
@@ -320,18 +323,20 @@ class RepSpec:
             raise ValueError("level must be nonnegative")
         if self.space.case is not Case.N:
             raise ValueError("representation spaces use the natural-index case")
-        if not self.formal:
-            m = scalars.abs2(self.phase)
-            if scalars.is_exact(m):
-                ok = m == 1
-            else:
-                ok = abs(float(m) - 1.0) <= 1e-12
-            if not ok:
-                raise ValueError("phase must be unimodular")
+        if not self.formal and not _unimodular(self.phase)[0]:
+            raise ValueError("phase must be unimodular")
 
     @property
     def formal(self) -> bool:
         return isinstance(self.phase, str) and self.phase == "formal"
+
+
+def _unimodular(phase) -> Tuple[bool, object]:
+    """Whether |phase| = 1 (within 1e-12 if inexact), and its discrepancy."""
+    m = scalars.abs2(phase)
+    defect = abs(float(m) - 1.0)
+    ok = m == 1 if scalars.is_exact(m) else defect <= 1e-12
+    return ok, EXACT_ZERO if ok and scalars.is_exact(m) else defect
 
 
 def rep_matrix(spec: RepSpec, i: int) -> SparseMat:
@@ -364,12 +369,9 @@ def verify_rep(spec: RepSpec, max_index: int) -> Report:
     if max_index > n and max_index - n > space.hi:
         raise WindowError(f"generator {max_index} needs window top {max_index - n}")
     formal = RepSpec(n, "formal", space)
-    gens = {i: rep_matrix(formal, i) for i in range(max_index + 1)}
     extra = n + 1  # generator used by the vacuum-projection identity
-    if extra not in gens:
-        gens[extra] = rep_matrix(formal, extra)
-    space.materialize()
-    dim = space.dimension
+    gens = {i: rep_matrix(formal, i) for i in range(max(max_index, extra) + 1)}
+    dim = space.dimension  # rep_matrix listed the basis
     cols = interior_columns(space, 1, 0)
     levels = [len(t) for t in space.basis]
     report = Report(suite="rep-n",
@@ -385,26 +387,23 @@ def verify_rep(spec: RepSpec, max_index: int) -> Report:
                             details or {}))
 
     if not spec.formal:
-        m = scalars.abs2(spec.phase)
-        ok = (m == 1) if scalars.is_exact(m) else abs(float(m) - 1.0) <= 1e-12
-        report.add(Instance("phase-unimodular", ok,
-                            EXACT_ZERO if ok and scalars.is_exact(m) else abs(float(m) - 1.0)))
+        report.add(Instance("phase-unimodular", *_unimodular(spec.phase)))
 
+    adj = {i: g.adjoint() for i, g in gens.items()}
     for i in range(max_index + 1):
         for j in range(max_index + 1):
             if i != j:
-                exact_instance(f"orthogonal[{i},{j}]",
-                               gens[i].adjoint() @ gens[j])
+                exact_instance(f"orthogonal[{i},{j}]", adj[i] @ gens[j])
+    rhs = SparseMat.zero(dim, dim)  # the sum of G_k G_k^* over k <= i
     for i in range(max_index + 1):
-        lhs = (gens[i].adjoint() @ gens[i]).submatrix(cols=cols)
-        rhs = SparseMat.zero(dim, dim)
-        for k in range(i + 1):
-            rhs = rhs + gens[k] @ gens[k].adjoint()
+        range_proj = gens[i] @ adj[i]
+        rhs = rhs + range_proj
+        lhs = (adj[i] @ gens[i]).submatrix(cols=cols)
         exact_instance(f"sum-relation[{i}]", lhs - rhs.submatrix(cols=cols),
                        {"columns": len(cols)})
         exact_instance(f"partial-isometry[{i}]",
-                       (gens[i] @ gens[i].adjoint() @ gens[i] - gens[i]).submatrix(cols=cols))
-    pom = gens[extra].adjoint() @ gens[extra] - gens[extra] @ gens[extra].adjoint()
+                       (range_proj @ gens[i] - gens[i]).submatrix(cols=cols))
+    pom = adj[extra] @ gens[extra] - gens[extra] @ adj[extra]
     vac = space.position(())
     pom_want = SparseMat(dim, dim, {(vac, vac): 1})
     exact_instance("vacuum-projection", (pom - pom_want).submatrix(cols=cols),
@@ -418,6 +417,16 @@ def verify_rep(spec: RepSpec, max_index: int) -> Report:
         report.add(Instance(f"gauge-degree[{i}]", bad == 0,
                             EXACT_ZERO if bad == 0 else float(bad)))
     return report
+
+
+def check_rep_size(space: TruncSpace, levels: int, max_index: int) -> None:
+    """Refuse verify_rep at `levels` levels up to max_index when levels *
+    (max_index + 2)**2 * max(dim * particles, REP_MIN_COST) > REP_MAX_WORK."""
+    bound = REP_MAX_WORK // (levels * (max_index + 2) ** 2)
+    if REP_MIN_COST > bound or (space.trunc and space.dimension_exceeds(bound // space.trunc)):
+        raise SizeLimitError(f"rep-n suite: {levels} levels of generators 0..{max_index} with "
+                             f"{space.trunc} particles on {space.width} indices could take "
+                             f"more than {REP_MAX_WORK:,} steps")
 
 
 def _monomial_degree(v) -> Optional[int]:
@@ -441,10 +450,6 @@ class DecomposeResult:
     components: List[RepComponent]
     residual_dim: int
     details: Dict
-
-    @property
-    def total_multiplicity(self) -> int:
-        return sum(c.multiplicity for c in self.components)
 
 
 def build_direct_sum(d: int, particles: int,
@@ -492,34 +497,21 @@ def _check_component(d: int, level: int, mult: int) -> None:
 def check_decompose_size(d: int, particles: int,
                          components: Sequence[Tuple[int, object, int]],
                          zero_dim: int = 0) -> int:
-    """The dimension of build_direct_sum's space, in closed form, checked
-    against DECOMPOSE_MAX_DIM and DECOMPOSE_MAX_WORK before anything is built.
-
-    The level-k block is the natural-index window [1, d - k] with at most
-    `particles` particles, so it holds C(d - k + particles, particles) tuples
-    (the sum of its level dimensions), and the direct sum has dimension
-    sum(mult * block) + zero_dim.  Each binomial is built factor by factor
-    and abandoned once it passes DECOMPOSE_MAX_DIM, so no spec makes this
-    check slow.  Raises SizeLimitError past either bound, and ValueError
-    for a component build_direct_sum would reject.
-    """
+    """The dimension of build_direct_sum's space, checked before anything is
+    built against DECOMPOSE_MAX_DIM, each block measured against the room left
+    under it, then against DECOMPOSE_MAX_WORK.  Raises SizeLimitError past
+    either bound, and ValueError for a component build_direct_sum would reject."""
     if particles < 0:
         raise ValueError("particle truncation must be >= 0")
-    dim = zero_dim
+    room = DECOMPOSE_MAX_DIM - zero_dim  # negative once the bound is passed
     for level, _, mult in components:
         _check_component(d, level, mult)
-        # C(w + p, k) with k = min(w, p) as C(m + j, j) for j = 1..k, m = max(w, p)
-        w = d - level
-        m, k = max(w, particles), min(w, particles)
-        block = 1
-        for j in range(1, k + 1):
-            block = block * (m + j) // j
-            if block > DECOMPOSE_MAX_DIM:
-                break
-        dim += mult * block
-    if dim > DECOMPOSE_MAX_DIM:
+        block = TruncSpace(Case.N, 1, d - level, particles)
+        room = -1 if block.dimension_exceeds(room // mult) else room - mult * block.dimension
+    if room < 0:
         raise SizeLimitError(f"the direct sum's dimension exceeds the decompose bound of "
                              f"{DECOMPOSE_MAX_DIM}")
+    dim = DECOMPOSE_MAX_DIM - room
     work = (d + 1) * d * max(dim, 12) ** 3
     if work > DECOMPOSE_MAX_WORK:
         raise SizeLimitError(f"decomposing a direct sum of dimension {dim} with d = {d} "

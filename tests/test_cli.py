@@ -247,6 +247,8 @@ def test_reports_deterministic():
      "2a4a55e079d748e1232e3804b68d02ca7d215da1b0c62bdb57575ad9a6cbdcf5"),
     (("verify", "--suite", "anti", "--window", "1..4", "--particles", "3"),
      "86a87ae70ca6c3a8e0b869b85d21f9301645ece3c1615b61d63eb13ea7242e70"),
+    (("verify", "--suite", "rep-n", "--window", "1..5", "--particles", "3", "--levels", "0,1,2,3"),
+     "5db408f8b9db79c88b24346a8b923e351afdd0e1788829b6f3880b1a4ba8df0e"),
 ])
 def test_verify_reports_byte_identical(args, digest):
     # sha256 of the report with runtimeMillis masked, as first recorded
@@ -400,12 +402,28 @@ def test_certificate_float_coefficient():
     (("limit", "--N", "-1"), b"--N must be >= 0"),
     (("verify", "--suite", "relations-z", "--window", "-3..3", "--particles", "2",
       "--depth", "-1"), b"--depth must be >= 0"),
+    # refused by a measure that never sums the space, however large it is
+    (("verify", "--suite", "rep-n", "--window", "1..3", "--particles", "20000000"),
+     b"rep-n suite"),
+    (("verify", "--suite", "rep-n", "--window", "1..1000", "--particles", "5000"),
+     b"rep-n suite"),
+    (("verify", "--suite", "rep-n", "--window", "1..120", "--particles", "2"), b"rep-n suite"),
+    (("verify", "--suite", "rep-n", "--window", "1..2", "--particles", "1", "--levels", "3000",
+      "--max-index", "3000"), b"rep-n suite"),
+    (("verify", "--suite", "rep-n", "--window", "1..2", "--particles", "1",
+      "--levels", ",".join(["0"] * 20_000)), b"rep-n suite"),
+    (("moments", "--expr", "".join(f"c({i % 200 + 1})" for i in range(1000)),
+      "--max-order", "447"), b"above the bound"),
+    (("reps", "decompose", "--spec",
+      '{"d":3,"particles":%d,"components":[{"level":0,"phase":1}]}' % 10 ** 100),
+     b"decompose bound"),
 ])
 def test_numeric_and_spec_faults_exit_2(args, expected):
     code, out, err = run_cli(*args)
     assert code == 2
     assert out == b""
     assert err.count(b"\n") == 1 and err.startswith(b"error:") and expected in err
+    assert len(err) < 200
 
 
 def test_many_particles_enumerate_without_recursion():

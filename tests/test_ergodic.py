@@ -66,6 +66,19 @@ def test_oversized_averages_raise_before_work():
         check_nonconvergence(TruncSpace("Z", -158, 0, 2), 158)
 
 
+@given(st.integers(1, 6), st.integers(0, 3), st.integers(2, 4), st.integers(-2, 2))
+@settings(max_examples=100, deadline=None)
+def test_nonconvergence_bound_refuses_where_the_product_passes(n, extra, trunc, delta):
+    space = TruncSpace("Z", -n - extra, extra, trunc)
+    evals = n * sum(math.comb(space.width + k - 1, k) for k in range(trunc + 1))
+    with mock.patch.object(ergodic, "NONCONVERGENCE_MAX_EVALS", evals + delta):
+        if delta < 0:
+            with pytest.raises(SizeLimitError, match="word evaluations"):
+                check_nonconvergence(space, n)
+        else:
+            assert check_nonconvergence(space, n).passed
+
+
 def test_cesaro_commutes_with_normalize():
     x = parse("c(0)a(0)", "Z")  # support word; normalizes to pair terms
     n = 3

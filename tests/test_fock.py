@@ -6,10 +6,12 @@ from random import Random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from conftest import random_element_z, random_word_z
 from wmfock import scalars
+from wmfock.errors import SizeLimitError
 from wmfock.expr import Element, parse
 from wmfock.fock import (IdentityCheck, TruncSpace, WindowError, accumulate, agree,
                          apply_element_to_vector, build_generator,
@@ -384,3 +386,20 @@ def test_dimension_exceeds_matches_the_closed_form(case, lo, hi, trunc):
     assert space.dimension_exceeds(space.dimension - 1)
     # a huge particle cap is refused after a few levels
     assert TruncSpace(case, lo, hi, 10 ** 12).dimension_exceeds(space.dimension)
+
+
+# each bound is drawn next to the closed form, so every example tests the edge
+@given(st.sampled_from(["Z", "N", "ANTI"]), st.integers(1, 6), st.integers(0, 6),
+       st.integers(-2, 2))
+@settings(max_examples=150, deadline=None)
+def test_measure_and_cap_refuse_where_the_level_sum_passes(case, width, trunc, delta):
+    levels = sum(math.comb(width + k - 1, k) for k in range(trunc + 1))
+    bound = levels + delta
+    space = TruncSpace(case, 1, width, trunc, cap=bound)
+    assert space.dimension == levels
+    assert space.dimension_exceeds(bound) == (levels > bound)
+    if levels > bound:
+        with pytest.raises(SizeLimitError, match="exceeds cap"):
+            space.materialize()
+    else:
+        assert len(space.materialize()) == levels

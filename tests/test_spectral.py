@@ -11,12 +11,13 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from wmfock import scalars, spectral
+from wmfock.ergodic import check_cesaro_bound, check_nonconvergence
 from wmfock.errors import SizeLimitError
 from wmfock.expr import Case, parse
 from wmfock.fock import (SparseMat, TruncSpace, apply_element_to_vector,
                          build_generator, evaluate)
 from wmfock.spectral import (Polynomial, RepSpec, build_direct_sum,
-                             check_decompose_size, commutant_dim, decompose,
+                             check_decompose_size, check_rep_size, commutant_dim, decompose,
                              limit_residual,
                              moment_sequence, poly_element, position_element,
                              recurrence_family, rep_matrix, vacuum_moment,
@@ -304,6 +305,19 @@ def test_rep_spec_guards():
         RepSpec(0, 2, space)  # not unimodular
     with pytest.raises(ValueError):
         RepSpec(0, 1, TruncSpace("Z", -1, 1, 2))
+    with pytest.raises(ValueError):
+        RepSpec(0, 1 + Fraction(1, 10 ** 15), space)  # exact: no tolerance
+
+
+def test_phase_unimodular_instance():
+    space = TruncSpace("N", 1, 2, 2)
+    for phase in (-1, 1j, scalars.gaussian(Fraction(3, 5), Fraction(4, 5)), 0.6 + 0.8j):
+        inst = verify_rep(RepSpec(0, phase, space), 1).instances[0]
+        assert inst.id == "phase-unimodular" and inst.passed
+        if scalars.is_exact(phase):
+            assert inst.discrepancy == "exact-0"
+        else:
+            assert type(inst.discrepancy) is float and inst.discrepancy <= 1e-12
 
 
 def test_verify_rep_formal():
@@ -469,6 +483,85 @@ def test_decompose_size_bounds():
         check_decompose_size(3, 3, [(3, 1, 1)])
     with pytest.raises(ValueError, match="multiplicity"):
         check_decompose_size(3, 3, [(0, 1, 0)])
+
+
+def _no_dimension(space):
+    raise AssertionError("a guard read the dimension of a space not yet bounded")
+
+
+# a 1,000-letter word over 200 indices: its moment space has a dimension
+# of thousands of digits
+LONG_WORD = "".join(f"c({i % 200 + 1})" for i in range(1000))
+
+
+@pytest.mark.parametrize("refuse, match", [
+    (lambda: check_cesaro_bound(TruncSpace("Z", 1, 100_000, 2), parse("c(1)", "Z"), 100_000),
+     "exceeds cap"),
+    (lambda: check_nonconvergence(TruncSpace("Z", -100_000, 0, 2), 100_000), "word evaluations"),
+    (lambda: moment_sequence(parse(LONG_WORD, "Z"), 447), "above the bound"),
+    (lambda: check_decompose_size(3, 10 ** 100, [(0, 1, 1)]), "decompose bound"),
+    (lambda: verify_rep(RepSpec(0, "formal", TruncSpace("N", 1, 3, 20_000_000)), 3),
+     "exceeds cap"),
+    (lambda: check_rep_size(TruncSpace("N", 1, 3, 20_000_000), 3, 3), "rep-n suite"),
+    (lambda: check_rep_size(TruncSpace("N", 1, 2, 1), 1, 3000), "rep-n suite"),
+])
+def test_refusals_never_sum_the_space(monkeypatch, refuse, match):
+    monkeypatch.setattr(TruncSpace, "dimension", property(_no_dimension))
+    with pytest.raises(SizeLimitError, match=match):
+        refuse()
+
+
+# each bound is drawn next to the closed form the guard used to compute
+@given(st.sampled_from(["x(1)", "2I", "c(1)c(2)", "x(1) + a(2)c(3)", "c(3)a(1)"]),
+       st.integers(1, 8), st.integers(-2, 2))
+@settings(max_examples=100, deadline=None)
+def test_moment_bound_refuses_where_the_product_passes(text, order, delta):
+    x = parse(text, "Z")
+    idx = x.indices()
+    tuples = sum(math.comb(max(idx) - min(idx) + k, k)
+                 for k in range(max(1, order * x.max_word_len()) + 1)) if idx else 0
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral, "MOMENTS_MAX_WORK", order * max(order, tuples) + delta)
+        if delta < 0:
+            with pytest.raises(SizeLimitError, match="above the bound"):
+                moment_sequence(x, order)
+        else:
+            assert len(moment_sequence(x, order)) == order + 1
+
+
+@given(st.integers(1, 4), st.integers(0, 4),
+       st.lists(st.tuples(st.integers(0, 3), st.integers(1, 3)), max_size=3),
+       st.integers(0, 10), st.integers(-2, 2))
+@settings(max_examples=150, deadline=None)
+def test_decompose_bound_refuses_where_the_sum_passes(d, particles, comps, zero_dim, delta):
+    comps = [(level % d, 1, mult) for level, mult in comps]
+    dim = zero_dim + sum(mult * math.comb(d - level + particles, particles)
+                         for level, _, mult in comps)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral, "DECOMPOSE_MAX_DIM", dim + delta)
+        mp.setattr(spectral, "DECOMPOSE_MAX_WORK", 10 ** 18)  # the dimension bound alone
+        if delta < 0:
+            with pytest.raises(SizeLimitError, match="decompose bound"):
+                check_decompose_size(d, particles, comps, zero_dim)
+        else:
+            assert check_decompose_size(d, particles, comps, zero_dim) == dim
+
+
+@given(st.integers(1, 5), st.integers(0, 4), st.integers(1, 4), st.integers(0, 5),
+       st.integers(0, 50), st.integers(-2, 2))
+@settings(max_examples=150, deadline=None)
+def test_rep_bound_refuses_where_the_work_passes(hi, particles, levels, max_index,
+                                                  min_cost, delta):
+    dim = math.comb(hi + particles, particles)
+    work = levels * (max_index + 2) ** 2 * max(dim * particles, min_cost)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral, "REP_MAX_WORK", work + delta)
+        mp.setattr(spectral, "REP_MIN_COST", min_cost)
+        if delta < 0:
+            with pytest.raises(SizeLimitError, match="rep-n suite"):
+                check_rep_size(TruncSpace("N", 1, hi, particles), levels, max_index)
+        else:
+            check_rep_size(TruncSpace("N", 1, hi, particles), levels, max_index)
 
 
 def test_moment_sweep_bound():
