@@ -334,9 +334,10 @@ class RepSpec:
 def _unimodular(phase) -> Tuple[bool, object]:
     """Whether |phase| = 1 (within 1e-12 if inexact), and its discrepancy."""
     m = scalars.abs2(phase)
+    if scalars.is_exact(m):  # kept exact: float() of a huge phase overflows
+        return m == 1, EXACT_ZERO if m == 1 else abs(m - 1)
     defect = abs(float(m) - 1.0)
-    ok = m == 1 if scalars.is_exact(m) else defect <= 1e-12
-    return ok, EXACT_ZERO if ok and scalars.is_exact(m) else defect
+    return defect <= 1e-12, defect
 
 
 def rep_matrix(spec: RepSpec, i: int) -> SparseMat:
@@ -345,8 +346,7 @@ def rep_matrix(spec: RepSpec, i: int) -> SparseMat:
     if i < 0:
         raise ValueError("generator indices are nonnegative")
     space = spec.space
-    space.materialize()
-    dim = space.dimension
+    dim = len(space.materialize())
     if i < spec.level:
         return SparseMat.zero(dim, dim)
     if i == spec.level:
@@ -370,7 +370,7 @@ def verify_rep(spec: RepSpec, max_index: int) -> Report:
         raise WindowError(f"generator {max_index} needs window top {max_index - n}")
     formal = RepSpec(n, "formal", space)
     extra = n + 1  # generator used by the vacuum-projection identity
-    gens = {i: rep_matrix(formal, i) for i in range(max(max_index, extra) + 1)}
+    gens = {i: rep_matrix(formal, i) for i in (*range(max_index + 1), extra)}
     dim = space.dimension  # rep_matrix listed the basis
     cols = interior_columns(space, 1, 0)
     levels = [len(t) for t in space.basis]
@@ -498,20 +498,20 @@ def check_decompose_size(d: int, particles: int,
                          components: Sequence[Tuple[int, object, int]],
                          zero_dim: int = 0) -> int:
     """The dimension of build_direct_sum's space, checked before anything is
-    built against DECOMPOSE_MAX_DIM, each block measured against the room left
-    under it, then against DECOMPOSE_MAX_WORK.  Raises SizeLimitError past
+    built against DECOMPOSE_MAX_DIM, a block past that bound counted as one
+    more than it, then against DECOMPOSE_MAX_WORK.  Raises SizeLimitError past
     either bound, and ValueError for a component build_direct_sum would reject."""
     if particles < 0:
         raise ValueError("particle truncation must be >= 0")
-    room = DECOMPOSE_MAX_DIM - zero_dim  # negative once the bound is passed
+    dim = zero_dim
     for level, _, mult in components:
         _check_component(d, level, mult)
         block = TruncSpace(Case.N, 1, d - level, particles)
-        room = -1 if block.dimension_exceeds(room // mult) else room - mult * block.dimension
-    if room < 0:
+        too_big = block.dimension_exceeds(DECOMPOSE_MAX_DIM)
+        dim += mult * (DECOMPOSE_MAX_DIM + 1 if too_big else block.dimension)
+    if dim > DECOMPOSE_MAX_DIM:
         raise SizeLimitError(f"the direct sum's dimension exceeds the decompose bound of "
                              f"{DECOMPOSE_MAX_DIM}")
-    dim = DECOMPOSE_MAX_DIM - room
     work = (d + 1) * d * max(dim, 12) ** 3
     if work > DECOMPOSE_MAX_WORK:
         raise SizeLimitError(f"decomposing a direct sum of dimension {dim} with d = {d} "

@@ -119,6 +119,14 @@ def test_verify_rep_n_max_index_zero():
                    "gauge-degree[0]"}
 
 
+def test_verify_rep_n_high_level_builds_only_the_checked_generators():
+    # generators below the level are zero and unchecked: none of them is built
+    rep = run_json("verify", "--suite", "rep-n", "--window", "1..2", "--particles", "1",
+                   "--levels", "10000000", "--max-index", "0")
+    assert rep["summary"]["failed"] == 0
+    assert rep["runtimeMillis"] < 5000
+
+
 def test_cesaro_bound():
     rep = run_json("cesaro", "--word", "c(0)", "--n", "4")
     inst = rep["instances"][0]
@@ -417,6 +425,13 @@ def test_certificate_float_coefficient():
     (("reps", "decompose", "--spec",
       '{"d":3,"particles":%d,"components":[{"level":0,"phase":1}]}' % 10 ** 100),
      b"decompose bound"),
+    # |phase|**2 - 1 of a 200-digit phase is past float range
+    (("reps", "decompose", "--spec",
+      '{"d":2,"particles":1,"components":[{"level":0,"phase":%d}]}' % 10 ** 200),
+     b"phase must be unimodular"),
+    (("reps", "decompose", "--spec",
+      '{"d":2,"particles":1,"components":[{"level":0,"phase":"%d/3"}]}' % 10 ** 200),
+     b"phase must be unimodular"),
 ])
 def test_numeric_and_spec_faults_exit_2(args, expected):
     code, out, err = run_cli(*args)

@@ -6,7 +6,6 @@ from random import Random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 import oracles
 from conftest import random_element_z, random_word_z
@@ -382,24 +381,13 @@ def test_agree_reads_a_missing_key_as_zero():
                                                    ("ANTI", 1, 3, 3)])
 def test_dimension_exceeds_matches_the_closed_form(case, lo, hi, trunc):
     space = TruncSpace(case, lo, hi, trunc)
-    assert not space.dimension_exceeds(space.dimension)
-    assert space.dimension_exceeds(space.dimension - 1)
+    dim = sum(space.level_dimension(k) for k in range(trunc + 1))
+    assert space.dimension == dim
+    assert not space.dimension_exceeds(dim)
+    assert space.dimension_exceeds(dim - 1)
+    # the cap is measured the same way: a space of exactly the cap is listed
+    assert len(TruncSpace(case, lo, hi, trunc, cap=dim).materialize()) == dim
+    with pytest.raises(SizeLimitError, match="exceeds cap"):
+        TruncSpace(case, lo, hi, trunc, cap=dim - 1).materialize()
     # a huge particle cap is refused after a few levels
-    assert TruncSpace(case, lo, hi, 10 ** 12).dimension_exceeds(space.dimension)
-
-
-# each bound is drawn next to the closed form, so every example tests the edge
-@given(st.sampled_from(["Z", "N", "ANTI"]), st.integers(1, 6), st.integers(0, 6),
-       st.integers(-2, 2))
-@settings(max_examples=150, deadline=None)
-def test_measure_and_cap_refuse_where_the_level_sum_passes(case, width, trunc, delta):
-    levels = sum(math.comb(width + k - 1, k) for k in range(trunc + 1))
-    bound = levels + delta
-    space = TruncSpace(case, 1, width, trunc, cap=bound)
-    assert space.dimension == levels
-    assert space.dimension_exceeds(bound) == (levels > bound)
-    if levels > bound:
-        with pytest.raises(SizeLimitError, match="exceeds cap"):
-            space.materialize()
-    else:
-        assert len(space.materialize()) == levels
+    assert TruncSpace(case, lo, hi, 10 ** 12).dimension_exceeds(dim)
