@@ -128,17 +128,17 @@ def _path_label(mu, nu) -> str:
     return "".join(parts) if parts else "I"
 
 
-def _nonnegative(flag: str, value):
-    """value, or a ValueError naming flag when it is a negative count."""
-    if value is not None and value < 0:
-        raise ValueError(f"{flag} must be >= 0, got {value}")
+def _count(flag: str, value, least: int = 0):
+    """value, or a ValueError naming flag when it is a count below least."""
+    if value is not None and value < least:
+        raise ValueError(f"{flag} must be >= {least}, got {value}")
     return value
 
 
 def _cmd_verify(args) -> Report:
-    _nonnegative("--depth", args.depth)
-    _nonnegative("--max-size", args.max_size)
-    _nonnegative("--max-index", args.max_index)
+    _count("--depth", args.depth)
+    _count("--max-size", args.max_size)
+    _count("--max-index", args.max_index)
     lo, hi = _parse_window(args.window)
     if args.suite == "relations-z":
         return relations_z_suite(TruncSpace(Case.Z, lo, hi, args.particles), depth=args.depth)
@@ -184,7 +184,7 @@ def _family_pairs(text: str) -> List[Tuple[List[int], List[int]]]:
 
 
 def _cmd_moments(args):
-    _nonnegative("--max-order", args.max_order)
+    _count("--max-order", args.max_order)
     x = parse(args.expr, Case.coerce(args.case))
     seq = moment_sequence(x, args.max_order)
     if args.csv:
@@ -199,6 +199,7 @@ def _cmd_moments(args):
 
 
 def _cmd_cesaro(args) -> Report:
+    _count("--n", args.n, 1)
     x = parse(args.word, Case.Z)
     idx = x.indices()
     if not idx:
@@ -216,7 +217,7 @@ def _cmd_cesaro(args) -> Report:
 
 def _cmd_limit(args):
     xi = _parse_tuple(args.vector)
-    ns = [_nonnegative("--N", int(v)) for v in str(args.N).split(",")]
+    ns = [_count("--N", int(v)) for v in str(args.N).split(",")]
     if 2 * max(ns) + 1 > LIMIT_MAX_WIDTH:
         raise SizeLimitError(f"limit --N {max(ns)} averages over {2 * max(ns) + 1} indices, "
                              f"above the bound of {LIMIT_MAX_WIDTH:,}")
@@ -265,6 +266,7 @@ def _cmd_certificate(args) -> Report:
 
 
 def _cmd_nonconvergence(args) -> Report:
+    _count("--n", args.n, 1)
     space = TruncSpace(Case.Z, -args.n, 0, 2)
     chk = check_nonconvergence(space, args.n)
     report = Report(suite="nonconvergence", config={"n": args.n})

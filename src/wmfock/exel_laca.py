@@ -73,10 +73,6 @@ class ELMatrixSpec:
     def case(self) -> Case:
         return Case.Z if self.kind is ELKind.WM_Z else Case.N
 
-    @property
-    def size(self) -> Optional[int]:
-        return len(self.table) if self.table is not None else None
-
     def check_index(self, i: int) -> None:
         if self.kind is ELKind.WM_N and i < 0:
             raise ValueError(f"index {i} outside the natural index set")

@@ -16,10 +16,9 @@ evaluation (at unit phase) both c(0) and a(0) act as the rank-one vacuum
 projection.  A word that survives has met each bottom letter at the
 vacuum, so its gauge factor z^(#c(0) - #a(0)) depends on the word alone;
 rewrite.equal_n puts that factor into the coefficients and evaluates here.
-build_generator still rejects index 0, since the gauge-aware version lives
-with the representation builders.  A word acts letter by letter on each
-tuple it meets; no (word, tuple) memo is kept, since recomputing a short
-word costs no more than hashing such a key.
+A word acts letter by letter on each tuple it meets; no (word, tuple) memo
+is kept, since recomputing a short word costs no more than hashing such a
+key.
 
 Basis order is by particle count, then ascending lexicographic order of
 the tuple, and is part of the interface: matrix positions are stable.
@@ -147,12 +146,9 @@ class TruncSpace:
             if not self.contains_index(i):
                 raise WindowError(f"index {i} outside window [{self.lo}, {self.hi}]")
 
-    def __len__(self) -> int:
-        return self.dimension
-
     def __repr__(self):
         return (f"TruncSpace({self.case.value}, [{self.lo}, {self.hi}], "
-                f"trunc={self.trunc}, dim={self.dimension})")
+                f"trunc={self.trunc}, cap={self.cap})")
 
 
 def _level_tuples(anti: bool, lo: int, hi: int, k: int) -> Iterator[BasisTuple]:
@@ -309,10 +305,6 @@ class SparseMat:
             for k, v in entries.items():
                 if not scalars.is_zero(v):
                     self.entries[k] = v
-
-    @classmethod
-    def identity(cls, n: int, coeff=1) -> "SparseMat":
-        return cls(n, n, {(i, i): coeff for i in range(n)})
 
     @classmethod
     def zero(cls, n_rows: int, n_cols: int) -> "SparseMat":

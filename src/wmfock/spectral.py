@@ -33,8 +33,8 @@ from .fock import (
     accumulate,
     annihilator_tuple,
     apply_element_to_vector,
-    build_generator,
     creator_tuple,
+    evaluate,
     interior_columns,
     vector_norm_sq,
 )
@@ -90,12 +90,6 @@ class Polynomial:
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1 if self.coeffs else -1
-
-    def __call__(self, x: float) -> float:
-        out = 0.0
-        for c in reversed(self.coeffs):
-            out = out * x + c
-        return out
 
     def times_x(self) -> "Polynomial":
         return Polynomial((0,) + self.coeffs)
@@ -160,8 +154,8 @@ def moment_sequence(x: Element, max_order: int) -> List:
             out.append(scalars.mul(out[-1], x.unit))
         return out
     lo, hi = min(idx), max(idx)
-    if x.case is not Case.Z:
-        lo = max(lo, 1)
+    if x.case is not Case.Z:  # index 0 of N takes no window index (check_indices)
+        lo, hi = max(lo, 1), max(hi, 1)
     space = TruncSpace(x.case, lo, hi, max(1, max_order * x.max_word_len()))
     if space.dimension_exceeds(MOMENTS_MAX_WORK // max_order):
         _refuse_moments(max_order)
@@ -342,18 +336,21 @@ def _unimodular(phase) -> Tuple[bool, object]:
 
 def rep_matrix(spec: RepSpec, i: int) -> SparseMat:
     """Matrix of the i-th generator: zero below the level, phase times the
-    vacuum projection at the level, creators shifted down by it above."""
+    vacuum projection at the level, creators shifted down by it above.
+
+    Each is one evaluate of an N-case word; at the level it is the bottom
+    letter c(0), the vacuum projection, with the phase (z when formal) as
+    its coefficient."""
     if i < 0:
         raise ValueError("generator indices are nonnegative")
-    space = spec.space
-    dim = len(space.materialize())
     if i < spec.level:
-        return SparseMat.zero(dim, dim)
-    if i == spec.level:
+        x = Element.zero(Case.N)
+    elif i == spec.level:
         z = scalars.LaurentZ({1: 1}) if spec.formal else spec.phase
-        vac = space.position(())
-        return SparseMat(dim, dim, {(vac, vac): z})
-    return build_generator(space, i - spec.level, dagger=True)
+        x = Element.word(Case.N, ((0, True),), z)
+    else:
+        x = Element.creator(Case.N, i - spec.level)
+    return evaluate(spec.space, x)
 
 
 def verify_rep(spec: RepSpec, max_index: int) -> Report:
@@ -404,8 +401,7 @@ def verify_rep(spec: RepSpec, max_index: int) -> Report:
         exact_instance(f"partial-isometry[{i}]",
                        (range_proj @ gens[i] - gens[i]).submatrix(cols=cols))
     pom = adj[extra] @ gens[extra] - gens[extra] @ adj[extra]
-    vac = space.position(())
-    pom_want = SparseMat(dim, dim, {(vac, vac): 1})
+    pom_want = evaluate(space, Element.creator(Case.N, 0))
     exact_instance("vacuum-projection", (pom - pom_want).submatrix(cols=cols),
                    {"generator": extra})
     for i in range(max_index + 1):
@@ -512,11 +508,9 @@ def check_decompose_size(d: int, particles: int,
     if dim > DECOMPOSE_MAX_DIM:
         raise SizeLimitError(f"the direct sum's dimension exceeds the decompose bound of "
                              f"{DECOMPOSE_MAX_DIM}")
-    work = (d + 1) * d * max(dim, 12) ** 3
-    if work > DECOMPOSE_MAX_WORK:
-        raise SizeLimitError(f"decomposing a direct sum of dimension {dim} with d = {d} "
-                             f"needs (d + 1) * d * max(dim, 12)**3 = {work}, above the "
-                             f"bound of {DECOMPOSE_MAX_WORK}")
+    if (d + 1) * d * max(dim, 12) ** 3 > DECOMPOSE_MAX_WORK:
+        raise SizeLimitError(f"decomposing the direct sum takes (d + 1) * d * max(dim, 12)**3 "
+                             f"steps, above the bound of {DECOMPOSE_MAX_WORK:,}")
     return dim
 
 

@@ -71,6 +71,12 @@ def test_moments_csv():
     assert lines[1:] == ["0,1", "1,0", "2,1", "3,0", "4,2", "5,0", "6,5"]
 
 
+@pytest.mark.parametrize("expr, base", [("c(0)", 1), ("x(0)", 2), ("p(0)", 1)])
+def test_moments_of_the_n_bottom_letter(expr, base):
+    rep = run_json("moments", "--case", "n", "--expr", expr, "--max-order", "4")
+    assert rep["moments"] == [base ** k for k in range(5)]
+
+
 def test_verify_exel_laca_schema():
     rep = run_json("verify", "--suite", "exel-laca", "--window", "-4..4",
                    "--particles", "3", "--max-size", "1")
@@ -386,6 +392,8 @@ def test_certificate_float_coefficient():
       '{"d":3,"particles":100000,"components":[{"level":0,"phase":1}]}'), b"decompose bound"),
     (("reps", "decompose", "--spec", '{"d":100000,"particles":0,"components":[]}'),
      b"above the bound"),
+    (("reps", "decompose", "--spec", '{"d":%d,"particles":0,"components":[]}' % 10 ** 100),
+     b"above the bound"),
     (("commutant", "--gens", '{"window":[1,2],"particles":14,"exprs":["x(1)","x(2)"]}'),
      b"commutant bound"),
     (("commutant", "--gens", '{"window":[1,1000000],"particles":1000000,"exprs":["x(1)"]}'),
@@ -408,6 +416,8 @@ def test_certificate_float_coefficient():
     (("verify", "--suite", "exel-laca", "--window", "1..6", "--particles", "2",
       "--max-size", "-1"), b"--max-size must be >= 0"),
     (("limit", "--N", "-1"), b"--N must be >= 0"),
+    (("cesaro", "--word", "c(1)", "--n", "-3"), b"--n must be >= 1"),
+    (("nonconvergence", "--n", "-5"), b"--n must be >= 1"),
     (("verify", "--suite", "relations-z", "--window", "-3..3", "--particles", "2",
       "--depth", "-1"), b"--depth must be >= 0"),
     # refused by a measure that never sums the space, however large it is

@@ -12,7 +12,7 @@ from conftest import random_element_z, random_word_z
 from wmfock import scalars
 from wmfock.errors import SizeLimitError
 from wmfock.expr import Element, parse
-from wmfock.fock import (IdentityCheck, TruncSpace, WindowError, accumulate, agree,
+from wmfock.fock import (DEFAULT_CAP, IdentityCheck, TruncSpace, WindowError, accumulate, agree,
                          apply_element_to_vector, build_generator,
                          column_action, enumerate_basis, evaluate,
                          interior_columns, interior_tuples, operator_norm,
@@ -327,6 +327,12 @@ def test_vector_norm_sq_inexact_is_a_real_float():
 def test_enumerate_basis_cap():
     with pytest.raises(ValueError):
         enumerate_basis("Z", -30, 30, 6, cap=1000)
+
+
+def test_repr_of_an_unbounded_space():
+    # the repr reads no dimension, so a space far past any cap prints
+    space = TruncSpace("N", 1, 10 ** 5, 10 ** 5)
+    assert repr(space) == f"TruncSpace(N, [1, 100000], trunc=100000, cap={DEFAULT_CAP})"
 
 
 def test_bottom_generator_evaluation_n():

@@ -113,6 +113,13 @@ def test_moment_sweep_applies_x_once_per_order(monkeypatch):
     assert seq[12] == 132
 
 
+def test_moments_of_the_bottom_letter():
+    # index 0 of N takes no window index: c(0) and p(0) are the vacuum
+    # projection, x(0) twice it
+    for text, base in [("c(0)", 1), ("p(0)", 1), ("x(0)", 2)]:
+        assert moment_sequence(parse(text, "N"), 6) == [base ** k for k in range(7)]
+
+
 def test_moments_independent_of_index():
     a = position_element(Case.Z, 0)
     b = position_element(Case.Z, -3)
@@ -287,6 +294,16 @@ def test_rep_matrix_frozen():
 
     spec1 = RepSpec(1, 1, space)
     assert rep_matrix(spec1, 2).entries == build_generator(space, 1, True).entries
+
+    # a numeric phase at the level is stored as it is, and the generators
+    # above the level are the creators
+    for phase in (scalars.gaussian(Fraction(3, 5), Fraction(4, 5)), -1.0):
+        spec = RepSpec(1, phase, space)
+        level = rep_matrix(spec, 1).entries
+        assert level == {(vac, vac): phase}
+        assert type(level[(vac, vac)]) is type(phase)
+        for i in (2, 3, 4):
+            assert rep_matrix(spec, i).entries == build_generator(space, i - 1, True).entries
 
 
 def test_rep_matrix_normal_partial_isometry():
