@@ -507,7 +507,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             text, passed = csv_render(result.headers, result.rows), result.passed
         else:
             result["runtimeMillis"] = millis
-            text, passed = json.dumps(result, indent=2) + "\n", True
+            text, passed = json.dumps(result, indent=2, allow_nan=False) + "\n", True
     except InternalConsistencyError as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return INTERNAL_ERROR

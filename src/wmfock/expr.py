@@ -31,6 +31,7 @@ is named as unclosed at its 'i'.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from enum import Enum
@@ -351,10 +352,15 @@ def _int(text: str, pos: int) -> int:
 
 
 def _real(text: str, pos: int) -> Scalar:
-    """int, reduced Fraction or float of an unsigned number token at pos."""
+    """int, reduced Fraction or finite float of an unsigned number token at pos."""
     p, slash, q = text.partition("/")
     if not slash:
-        return _int(p, pos) if p.isdigit() else float(p)
+        if p.isdigit():
+            return _int(p, pos)
+        value = float(p)
+        if not math.isfinite(value):
+            raise ParseError("number literal too large for a float", pos)
+        return value
     qpos = pos + len(text) - len(q.lstrip())
     if not q.strip().isdigit():
         raise ParseError("rational denominator must be an integer", qpos)

@@ -77,7 +77,7 @@ class Report:
         return out
 
     def render(self) -> str:
-        return json.dumps(self.to_json(), indent=2)
+        return json.dumps(self.to_json(), indent=2, allow_nan=False)
 
 
 def csv_render(headers: List[str], rows: List[List[Any]]) -> str:

@@ -15,6 +15,17 @@ after it.  The default budget is default_fuel(word) = 4**l * (hi - lo + 2)**l,
 never less than 8**l; the fold starts from 8**l and computes the exact
 default only when a word takes more steps than that.
 
+Memo.  A fold at the default fuel without a log is memoized per case and
+word: the memo keeps the fold's normal words and int multiplicities as an
+immutable tuple in the fold's order, and each call still scales and sums
+its own coefficients, so a hit gives the same values, types and key order
+as a fresh fold.  The memo holds at most _MEMO_WORDS = 2**14 words,
+counting each entry's word and the words of its fold; it is emptied when
+a fold would pass that, and a fold bigger than the whole bound, or one that
+ran out of fuel, is never stored.  An explicit fuel or a log bypasses the
+memo and runs every step, so FuelError comes at the same step and a log
+lists every step.
+
 Z case.  Normal words are the Gamma words (creator letters with
 non-increasing indices followed by annihilator letters with non-decreasing
 indices), with the standalone supports c(i)a(i) rewritten at the end into
@@ -52,7 +63,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, Iterable, NamedTuple, Optional, Tuple
 
 from . import scalars
 from .errors import FuelError, InternalConsistencyError, SizeLimitError
@@ -184,8 +195,9 @@ def _expand_n(prefix: Word, i: int, top: int, suffix: Word) -> Dict[Word, int]:
 
 
 class _Rules(NamedTuple):
-    """One case's rule labels (see the module docstring) and support expansion."""
+    """One case's name, rule labels (see the module docstring) and support expansion."""
 
+    case: str
     mismatch: str
     creators: str
     annihilators: str
@@ -196,8 +208,8 @@ class _Rules(NamedTuple):
     expand: Callable[[Word, int, int, Word], Dict[Word, int]]
 
 
-_Z_RULES = _Rules("R1", "R2", "R3", "R4", "R5", "R6", "R7", _expand_z)
-_N_RULES = _Rules("N1", "N2", "N2*", "N3", "N3*", "N4", "N5", _expand_n)
+_Z_RULES = _Rules("Z", "R1", "R2", "R3", "R4", "R5", "R6", "R7", _expand_z)
+_N_RULES = _Rules("N", "N1", "N2", "N2*", "N3", "N3*", "N4", "N5", _expand_n)
 
 
 def _step(w: Word, tok: Token, log, rules: _Rules) -> Dict[Word, int]:
@@ -273,6 +285,36 @@ def _reduce_word(word: Word, rules: _Rules, fuel: Optional[int], log) -> Dict[Wo
     return state
 
 
+# the fold memo (see Memo in the module docstring): (case, word) -> the
+# fold's items, and the words held, each entry's word with its fold's words
+_MEMO_WORDS = 1 << 14
+_memo: Dict[Tuple[str, Word], Tuple[Tuple[Word, int], ...]] = {}
+_memo_words = 0
+
+
+def _fold(word: Word, rules: _Rules, fuel: Optional[int], log) -> Iterable[Tuple[Word, int]]:
+    """word's fold as (normal word, multiplicity) pairs, in the fold's order.
+
+    An unlogged fold at the default fuel is read from the memo, and stored
+    there the first time it runs; an explicit fuel or a log runs the fold.
+    """
+    global _memo_words
+    if fuel is not None or log is not None:
+        return _reduce_word(word, rules, fuel, log).items()
+    key = (rules.case, word)
+    folded = _memo.get(key)
+    if folded is None:
+        folded = tuple(_reduce_word(word, rules, None, None).items())
+        size = 1 + len(folded)
+        if size <= _MEMO_WORDS:
+            if _memo_words + size > _MEMO_WORDS:
+                _memo.clear()
+                _memo_words = 0
+            _memo[key] = folded
+            _memo_words += size
+    return folded
+
+
 # --- normal forms -------------------------------------------------------------
 
 @dataclass
@@ -324,7 +366,7 @@ def normalize_z(x: Element, fuel: Optional[int] = None, log: Optional[list] = No
         raise ValueError("normalize_z expects a Z-case element")
     nf = NormalFormZ(unit=x.unit)
     for word, coeff in x.terms.items():
-        for w, k in _reduce_word(word, _Z_RULES, fuel, log).items():
+        for w, k in _fold(word, _Z_RULES, fuel, log):
             contrib = coeff if k == 1 and type(coeff) in _EXACT else scalars.mul(coeff, k)
             if not w:
                 nf.unit = scalars.add(nf.unit, contrib)
@@ -350,7 +392,7 @@ def normalize_n(x: Element, fuel: Optional[int] = None, log: Optional[list] = No
         raise ValueError("normalize_n expects an N-case element")
     nf = NormalFormN(unit=x.unit)
     for word, coeff in x.terms.items():
-        for w, k in _reduce_word(word, _N_RULES, fuel, log).items():
+        for w, k in _fold(word, _N_RULES, fuel, log):
             contrib = coeff if k == 1 and type(coeff) in _EXACT else scalars.mul(coeff, k)
             pending = {w: 1}
             if _is_pair(w):

@@ -340,13 +340,21 @@ def test_scalar_literal_reports_byte_identical(args, digest):
     assert hashlib.sha256(masked).hexdigest() == digest
 
 
-@pytest.mark.parametrize("text, pos", [("c(²)", 2), ("(1+2i", 4), ("(1/2-3i", 6)])
+@pytest.mark.parametrize("text, pos", [("c(²)", 2), ("(1+2i", 4), ("(1/2-3i", 6),
+                                       ("1e400*c(1)", 0), ("(1e400+1i)*c(1)", 1)])
 def test_malformed_expression_is_one_positioned_line(text, pos):
     code, out, err = run_cli("rewrite", "--case", "z", "--expr", text)
     assert code == 2 and out == b""
     lines = err.decode().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
     assert lines[0].endswith(f"(at position {pos})")
+
+
+def test_non_finite_report_exits_2():
+    # 1e200 is a finite literal, but its square is inf, which JSON cannot hold
+    code, out, err = run_cli("moments", "--expr", "1e200*x(1)", "--max-order", "4")
+    assert code == 2 and out == b""
+    assert err.count(b"\n") == 1 and err.startswith(b"error:")
 
 
 @pytest.mark.parametrize("spec, expected", [
@@ -462,9 +470,11 @@ def test_nested_expr_report():
     assert run_json("rewrite", "--case", "z", "--expr", nested)["normalForm"] == "c(1)"
 
 
-# one argv per subcommand, among an argparse rejection, --help and a bad spec
+# one argv per subcommand, among an argparse rejection, --help and a bad spec;
+# the second pass in-process reads each rewrite fold from the memo
 REUSE_ARGVS = [
     ("rewrite", "--case", "z", "--expr", "c(1) a(1)"),
+    ("rewrite", "--case", "n", "--expr", "a(2)c(2)c(1)"),
     ("no-such-command",),
     ("verify", "--suite", "relations-z", "--window", "-2..2", "--particles", "2"),
     ("--help",),
@@ -480,6 +490,8 @@ REUSE_ARGVS = [
     ("commutant", "--gens", '{"case":"N","window":[1,1],"particles":1,"exprs":["x(1)"]}'),
     ("reps", "decompose", "--spec",
      '{"d":3,"particles":3,"components":[{"level":1,"phase":-1}]}'),
+    # the first entry's word again: a logged fold runs every step past the memo
+    ("rewrite", "--case", "z", "--expr", "c(1) a(1)", "--show-steps"),
 ]
 
 

@@ -212,7 +212,11 @@ def test_default_fuel_is_at_least_the_cheap_bound(word):
 
 
 def _fold_steps(monkeypatch, normalize, x):
-    """Rewrite steps of normalize(x), counted on the fold's budget."""
+    """Rewrite steps of normalize(x) at the default fuel, counted on the fold's budget.
+
+    The fuel is passed explicitly, so each fold runs even where the memo
+    already holds it.
+    """
     count = [0]
     spend = rewrite._Budget.spend
 
@@ -222,7 +226,7 @@ def _fold_steps(monkeypatch, normalize, x):
 
     with monkeypatch.context() as m:
         m.setattr(rewrite._Budget, "spend", counted)
-        normalize(x)
+        normalize(x, fuel=max(default_fuel(w) for w in x.terms))
     return count[0]
 
 
@@ -424,3 +428,76 @@ def test_agreement_flag_present():
     out = normalize_z(parse("c(1)a(1) + 2I", "Z"))
     assert out.agrees_with(out)
     assert out.unit == 2
+
+
+# --- the fold memo ------------------------------------------------------------
+
+def _coords(nf):
+    """A normal form's unit and coefficient dicts, with value types and key order."""
+    return repr([nf.unit] + [list(d.items()) for d in vars(nf).values() if isinstance(d, dict)])
+
+
+memo_coeffs = st.one_of(
+    st.integers(min_value=-3, max_value=3),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    st.builds(scalars.gaussian, st.integers(min_value=-2, max_value=2),
+              st.fractions(min_value=-2, max_value=2, max_denominator=3)),
+    st.floats(min_value=-3, max_value=3),
+    st.complex_numbers(max_magnitude=3, allow_nan=False, allow_infinity=False))
+# letters and pair words a(i)c(i), whose supports expand into several words
+memo_index = st.integers(min_value=0, max_value=3)
+memo_words = st.lists(st.one_of(st.tuples(st.tuples(memo_index, st.booleans())),
+                                memo_index.map(lambda i: ((i, False), (i, True)))),
+                      min_size=1, max_size=4).map(lambda parts: sum(parts, ()))
+
+
+@given(unit=memo_coeffs, terms=st.dictionaries(memo_words, memo_coeffs, max_size=4))
+@settings(max_examples=200, deadline=None)
+def test_memo_keeps_values_types_and_order(unit, terms):
+    # the same words in both cases, whose folds differ where a support expands
+    calls = [(normalize_z, Element("Z", unit, dict(terms))),
+             (normalize_n, Element("N", unit, dict(terms)))]
+    # an explicit fuel runs each fold past the memo
+    want = [_coords(normalize(x, fuel=max(map(default_fuel, x.terms), default=1)))
+            for normalize, x in calls]
+    for normalize, x in calls:
+        normalize(x)                     # stores each word's fold
+    assert [_coords(normalize(x)) for normalize, x in calls] == want
+
+
+def test_changing_a_normal_form_leaves_the_next_call_alone():
+    z = parse("c(1)a(1) + 2 c(2)a(1) + a(0)c(0)a(2)", "Z")
+    n = parse("a(2)c(2)c(1) + 3 c(1)a(1)", "N")
+    want_z, want_n = normalize_z(z), normalize_n(n)
+    assert want_z.lam and want_z.pairs and want_n.paths
+    got_z, got_n = normalize_z(z), normalize_n(n)
+    got_z.lam.clear()
+    got_z.pairs[0] = 99
+    got_n.paths.clear()
+    assert normalize_z(z) == want_z and normalize_n(n) == want_n
+
+
+def test_memo_stays_within_its_bound(monkeypatch):
+    monkeypatch.setattr(rewrite, "_memo", {})
+    monkeypatch.setattr(rewrite, "_memo_words", 0)
+
+    def held():
+        return sum(1 + len(folded) for folded in rewrite._memo.values())
+
+    telescope = parse("a(0)c(0)a(5000)c(5000)", "Z")
+    want = normalize_z(telescope)
+    assert held() == rewrite._memo_words == 1 + 5001 <= rewrite._MEMO_WORDS
+    # under a smaller bound the telescope is never stored, and a stream of
+    # distinct words empties the memo whenever one would pass the bound
+    monkeypatch.setattr(rewrite, "_MEMO_WORDS", 100)
+    monkeypatch.setattr(rewrite, "_memo", {})
+    monkeypatch.setattr(rewrite, "_memo_words", 0)
+    rng = Random(77)
+    for k in range(2000):
+        if k % 500 == 0:
+            assert normalize_z(telescope) == want
+            assert held() == rewrite._memo_words <= 100
+        case = "Z" if k % 2 else "N"
+        normalize = normalize_z if case == "Z" else normalize_n
+        normalize(Element.word(case, random_word_z(rng, 5, 0, 6)))
+        assert held() == rewrite._memo_words <= 100
