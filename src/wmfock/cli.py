@@ -16,10 +16,12 @@ argument parser, built on the first call.
 from __future__ import annotations
 
 import argparse
+import cmath
 import functools
 import json
 import math
 import re
+import reprlib
 import sys
 import time
 from fractions import Fraction
@@ -66,18 +68,23 @@ CHECK_FAILED = 1
 INTERNAL_ERROR = 3
 
 
+def _parse_ints(flag: str, text: str, sep: str = ",") -> Tuple[int, ...]:
+    """The integers of flag's sep-separated value, parentheses ignored; a
+    ValueError naming flag and the first entry that is no integer."""
+    out = []
+    for v in text.replace("(", "").replace(")", "").split(sep):
+        try:
+            out.append(int(v))
+        except ValueError:
+            raise ValueError(f"{flag} takes integers, got {reprlib.repr(v)}") from None
+    return tuple(out)
+
+
 def _parse_window(text: str) -> Tuple[int, int]:
-    if ".." not in text:
-        raise ValueError(f"window must look like a..b, got {text!r}")
-    a, b = text.split("..", 1)
-    return int(a), int(b)
-
-
-def _parse_tuple(text: str) -> Tuple[int, ...]:
-    text = text.strip()
-    if not text:
-        return ()
-    return tuple(int(v) for v in text.replace("(", "").replace(")", "").split(","))
+    ends = _parse_ints("--window", text, "..") if ".." in text else ()
+    if len(ends) != 2:
+        raise ValueError(f"window must look like a..b, got {reprlib.repr(text)}")
+    return ends
 
 
 def _parse_scalar(text: str):
@@ -161,7 +168,7 @@ def _cmd_verify(args) -> Report:
                                            "particles": args.particles,
                                            "levels": args.levels,
                                            "maxIndex": max_index})
-    levels = [int(v) for v in args.levels.split(",")]
+    levels = _parse_ints("--levels", args.levels)
     check_rep_size(space, len(levels), max_index)
     for level in levels:
         sub = verify_rep(RepSpec(level, "formal", space), max_index)
@@ -187,6 +194,10 @@ def _cmd_moments(args):
     _count("--max-order", args.max_order)
     x = parse(args.expr, Case.coerce(args.case))
     seq = moment_sequence(x, args.max_order)
+    for k, v in enumerate(seq):
+        if isinstance(v, (float, complex)) and not cmath.isfinite(v):
+            raise ValueError(f"the moment of order {k} is {v}, past float range; "
+                             "lower --max-order or the coefficients")
     if args.csv:
         return Csv(["order", "moment"],
                    [[k, scalars.to_text(v) if not isinstance(v, int) else v]
@@ -216,8 +227,8 @@ def _cmd_cesaro(args) -> Report:
 
 
 def _cmd_limit(args):
-    xi = _parse_tuple(args.vector)
-    ns = [_count("--N", int(v)) for v in str(args.N).split(",")]
+    xi = _parse_ints("--vector", args.vector) if args.vector.strip() else ()
+    ns = [_count("--N", n) for n in _parse_ints("--N", args.N)]
     if 2 * max(ns) + 1 > LIMIT_MAX_WIDTH:
         raise SizeLimitError(f"limit --N {max(ns)} averages over {2 * max(ns) + 1} indices, "
                              f"above the bound of {LIMIT_MAX_WIDTH:,}")

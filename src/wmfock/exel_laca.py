@@ -1,10 +1,10 @@
 """Relation matrices of Exel-Laca type and verification of their conditions.
 
 A relation matrix assigns each ordered generator pair (i, j) a 0/1 entry.
-Two built-in infinite kinds cover the weakly monotone family (entry(i, j) =
-[i >= j], indexed over all integers or over the naturals); finite explicit
-tables are supported as well.  The conditions checked are, with q(i) the
-support projection of the i-th generator and p(i) its range projection:
+Two kinds cover the weakly monotone family: entry(i, j) = [i >= j],
+indexed over all integers or over the naturals.  The conditions checked
+are, with q(i) the support projection of the i-th generator and p(i) its
+range projection:
 
   (1) q(i) q(j) = q(j) q(i)
   (2) p(i) p(j) = 0 for i != j
@@ -12,7 +12,7 @@ support projection of the i-th generator and p(i) its range projection:
   (4) prod_{x in X} q(x) prod_{y in Y} (I - q(y)) = sum over the support set
       of p(j), whenever that support set is finite
 
-plus the one-step ladder q(j+1) = q(j) + p(j+1) of the integer kind.
+plus the one-step ladder q(j+1) = q(j) + p(j+1).
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from .suites import run_identity
 class ELKind(Enum):
     WM_Z = "WM_Z"
     WM_N = "WM_N"
-    TABLE = "table"
 
     @staticmethod
     def coerce(v) -> "ELKind":
@@ -45,29 +44,12 @@ class ELKind(Enum):
 
 @dataclass(frozen=True)
 class ELMatrixSpec:
-    """A 0/1 relation matrix, either an infinite built-in or a finite table."""
+    """The weakly monotone relation matrix over the integers or the naturals."""
 
     kind: ELKind
-    table: Optional[Tuple[Tuple[int, ...], ...]] = None
 
     def __post_init__(self):
         object.__setattr__(self, "kind", ELKind.coerce(self.kind))
-        if self.kind is ELKind.TABLE:
-            if self.table is None:
-                raise ValueError("table kind needs an explicit matrix")
-            tab = tuple(tuple(int(v) for v in row) for row in self.table)
-            n = len(tab)
-            for row in tab:
-                if len(row) != n:
-                    raise ValueError("relation table must be square")
-                for v in row:
-                    if v not in (0, 1):
-                        raise ValueError("relation table entries must be 0 or 1")
-                if not any(row):
-                    raise ValueError("relation table rows must not be identically zero")
-            object.__setattr__(self, "table", tab)
-        elif self.table is not None:
-            raise ValueError("only the table kind carries an explicit matrix")
 
     @property
     def case(self) -> Case:
@@ -76,14 +58,10 @@ class ELMatrixSpec:
     def check_index(self, i: int) -> None:
         if self.kind is ELKind.WM_N and i < 0:
             raise ValueError(f"index {i} outside the natural index set")
-        if self.kind is ELKind.TABLE and not (0 <= i < len(self.table)):
-            raise ValueError(f"index {i} outside the table range 0..{len(self.table) - 1}")
 
     def entry(self, i: int, j: int) -> int:
         self.check_index(i)
         self.check_index(j)
-        if self.kind is ELKind.TABLE:
-            return self.table[i][j]
         return 1 if i >= j else 0
 
 
@@ -103,9 +81,7 @@ def support_set(spec: ELMatrixSpec, X: Iterable[int], Y: Iterable[int]) -> Tuple
     xs, ys = set(X), set(Y)
     for i in xs | ys:
         spec.check_index(i)
-    if spec.kind is ELKind.TABLE:
-        return tuple(j for j in range(len(spec.table)) if a_coeff(spec, xs, ys, j))
-    # built-in kinds: coefficient 1 exactly on (max Y, min X] within the index set
+    # coefficient 1 exactly on (max Y, min X] within the index set
     if not xs:
         # no upper cap on j, and some (or all) large j have coefficient 1
         raise FinitenessError("support set is unbounded above without an X constraint")
@@ -242,7 +218,7 @@ def verify_el_suite(
             continue
         run(iid, lhs, rhs)
 
-    if remark and spec.kind in (ELKind.WM_Z, ELKind.WM_N):
+    if remark:
         low = universe[0] if spec.kind is ELKind.WM_Z else max(universe[0], 0)
         for j in range(low, universe[-1]):
             run(f"ladder[q({j + 1})=q({j})+p({j + 1})]",

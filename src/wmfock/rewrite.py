@@ -445,8 +445,8 @@ def equal_n(x: Element, y: Element, tol: float = scalars.DEFAULT_TOL) -> bool:
     its columns are every tuple of TruncSpace(N, 1, d, 2L + 1) with at most
     L + 1 particles, deep enough to separate words of length L; each side's
     gauge factors ride on its coefficients (see _gauged).  Their count, the
-    closed form sum of comb(d + k - 1, k) for k = 0..L + 1, is checked
-    before any work: above 200,000 columns SizeLimitError is raised.
+    dimension of TruncSpace(N, 1, d, L + 1), is bounded before any work:
+    above 200,000 columns SizeLimitError is raised.
     Agreeing canonical maps with disagreeing evaluations would mean the
     rewriter itself is broken, so that combination raises
     InternalConsistencyError.  The converse is expected: canonical path
@@ -460,10 +460,9 @@ def equal_n(x: Element, y: Element, tol: float = scalars.DEFAULT_TOL) -> bool:
     # witness the gap between a support projection and the unit
     d = max([1] + [i for i in idx]) + 1
     maxlen = max(x.max_word_len(), y.max_word_len(), 1)
+    if TruncSpace(Case.N, 1, d, maxlen + 1).dimension_exceeds(_EQUAL_N_CAP):
+        raise SizeLimitError(f"cross-check space exceeds the bound of {_EQUAL_N_CAP:,} columns")
     space = TruncSpace(Case.N, 1, d, 2 * maxlen + 1)
-    columns = sum(space.level_dimension(k) for k in range(maxlen + 2))
-    if columns > _EQUAL_N_CAP:
-        raise SizeLimitError(f"cross-check space too large ({columns} columns)")
 
     maps_agree = normalize_n(x).agrees_with(normalize_n(y), tol)
     gx, gy = _gauged(x), _gauged(y)

@@ -350,11 +350,12 @@ def test_malformed_expression_is_one_positioned_line(text, pos):
     assert lines[0].endswith(f"(at position {pos})")
 
 
-def test_non_finite_report_exits_2():
-    # 1e200 is a finite literal, but its square is inf, which JSON cannot hold
-    code, out, err = run_cli("moments", "--expr", "1e200*x(1)", "--max-order", "4")
+@pytest.mark.parametrize("render", [(), ("--csv",)], ids=["json", "csv"])
+def test_non_finite_report_exits_2(render):
+    # 1e200 is a finite literal, but its square is inf, which no report holds
+    code, out, err = run_cli("moments", "--expr", "1e200*x(1)", "--max-order", "4", *render)
     assert code == 2 and out == b""
-    assert err.count(b"\n") == 1 and err.startswith(b"error:")
+    assert err.count(b"\n") == 1 and err.startswith(b"error:") and b"--max-order" in err
 
 
 @pytest.mark.parametrize("spec, expected", [
@@ -450,6 +451,12 @@ def test_certificate_float_coefficient():
      b"above the bound"),
     (("cesaro", "--word", "c(1)", "--n", "-3"), b"--n must be >= 1"),
     (("nonconvergence", "--n", "-5"), b"--n must be >= 1"),
+    (("limit", "--N", "10", "--vector", "1e308,1e308"), b"--vector takes integers, got '1e308'"),
+    (("limit", "--N", "abc"), b"--N takes integers, got 'abc'"),
+    (("verify", "--suite", "rep-n", "--window", "1..x", "--particles", "2"),
+     b"--window takes integers, got 'x'"),
+    (("verify", "--suite", "rep-n", "--window", "1..3", "--particles", "2", "--levels", "0,a"),
+     b"--levels takes integers, got 'a'"),
 ])
 def test_numeric_and_spec_faults_exit_2(args, expected):
     code, out, err = run_cli(*args)

@@ -19,19 +19,14 @@ WMN = ELMatrixSpec(ELKind.WM_N)
 def test_entry_frozen():
     assert WMZ.entry(3, 3) == 1
     assert WMZ.entry(2, 5) == 0
-    table = ELMatrixSpec(ELKind.TABLE, table=((1,),))
-    assert table.entry(0, 0) == 1
-    with pytest.raises(Exception):
-        table.entry(0, 5)
 
 
-def test_table_shape_guards():
+def test_only_the_weakly_monotone_kinds():
+    assert [k.value for k in ELKind] == ["WM_Z", "WM_N"]
     with pytest.raises(ValueError):
-        ELMatrixSpec(ELKind.TABLE, table=((1, 0), (0, 0)))  # zero row
-    with pytest.raises(ValueError):
-        ELMatrixSpec(ELKind.TABLE, table=((1, 0, 1), (0, 1, 0)))  # not square
-    with pytest.raises(ValueError):
-        ELMatrixSpec(ELKind.TABLE, table=((2,),))  # non-binary entry
+        ELKind("table")
+    with pytest.raises(TypeError):
+        ELMatrixSpec(ELKind.WM_N, table=((1,),))
 
 
 def test_a_coeff_frozen():
@@ -57,13 +52,6 @@ def test_support_set_wm_n_clamps_at_zero():
     assert support_set(WMN, {2}, {0}) == (1, 2)
     with pytest.raises(FinitenessError):
         support_set(WMN, set(), {1})
-
-
-def test_support_set_table_scan():
-    table = ELMatrixSpec(ELKind.TABLE, table=((1, 1), (0, 1)))
-    assert support_set(table, {0}, set()) == (0, 1)
-    assert support_set(table, {0, 1}, set()) == (1,)
-    assert support_set(table, {0}, {1}) == (0,)
 
 
 small_sets = st.sets(st.integers(min_value=-5, max_value=5), min_size=1,

@@ -192,7 +192,7 @@ def test_equal_n_cap_is_checked_before_any_column(monkeypatch):
     x = Element.word("N", ((1, True),) * 9 + ((9, True),))
     with pytest.raises(SizeLimitError) as err:
         equal_n(x, x)
-    assert str(err.value) == "cross-check space too large (352716 columns)"
+    assert str(err.value) == "cross-check space exceeds the bound of 200,000 columns"
 
 
 def test_default_fuel_formula():

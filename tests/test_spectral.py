@@ -13,9 +13,10 @@ import oracles
 from wmfock import scalars, spectral
 from wmfock.ergodic import check_cesaro_bound, check_nonconvergence
 from wmfock.errors import SizeLimitError
-from wmfock.expr import Case, parse
+from wmfock.expr import Case, Element, parse
 from wmfock.fock import (SparseMat, TruncSpace, apply_element_to_vector,
                          build_generator, evaluate)
+from wmfock.rewrite import equal_n
 from wmfock.spectral import (Polynomial, RepSpec, build_direct_sum,
                              check_decompose_size, check_rep_size, commutant_dim, decompose,
                              limit_residual,
@@ -509,6 +510,8 @@ def _no_dimension(space):
 # a 1,000-letter word over 200 indices: its moment space has a dimension
 # of thousands of digits
 LONG_WORD = "".join(f"c({i % 200 + 1})" for i in range(1000))
+# 1,500 creators at index 10^6
+WIDE_WORD = Element.word("N", ((1_000_000, True),) * 1500)
 
 
 @pytest.mark.parametrize("refuse, match", [
@@ -521,6 +524,8 @@ LONG_WORD = "".join(f"c({i % 200 + 1})" for i in range(1000))
      "exceeds cap"),
     (lambda: check_rep_size(TruncSpace("N", 1, 3, 20_000_000), 3, 3), "rep-n suite"),
     (lambda: check_rep_size(TruncSpace("N", 1, 2, 1), 1, 3000), "rep-n suite"),
+    # equal_n's column count here has thousands of digits, too many to print
+    (lambda: equal_n(WIDE_WORD, WIDE_WORD), "bound of 200,000 columns"),
 ])
 def test_refusals_never_sum_the_space(monkeypatch, refuse, match):
     monkeypatch.setattr(TruncSpace, "dimension", property(_no_dimension))
