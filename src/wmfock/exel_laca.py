@@ -154,12 +154,13 @@ def verify_el_suite(
     """Exhaustive check of conditions (1)-(4) over a finite index universe.
 
     Column tuples are restricted to the universe's margin inside the window,
-    which loses nothing because every letter index lives in the universe.
-    With pairs given, only those (X, Y) combinations are run for condition
-    (4); otherwise all pairs of subsets up to max_size (no subset is larger
-    than the universe), where combinations whose support set is infinite
-    are asserted to raise FinitenessError instead.  More than EL_MAX_PAIRS
-    such pairs raise SizeLimitError before any work, and so do more than
+    which loses nothing because every letter index lives in the universe: a
+    pair index outside it raises ValueError before any work.  With pairs
+    given, only those (X, Y) combinations are run for condition (4);
+    otherwise all pairs of subsets up to max_size (no subset is larger than
+    the universe), where combinations whose support set is infinite are
+    asserted to raise FinitenessError instead.  More than EL_MAX_PAIRS such
+    pairs raise SizeLimitError before any work, and so do more than
     EL_MAX_COLUMNS identities times basis tuples of the universe's window.
     """
     case = spec.case
@@ -168,6 +169,10 @@ def verify_el_suite(
         spec.check_index(i)
         if not space.contains_index(i):
             raise ValueError(f"universe index {i} outside the window")
+    for X, Y in pairs or ():
+        for i in (*X, *Y):
+            if i not in universe:
+                raise ValueError(f"pair index {i} outside the universe")
     u = len(universe)
     size = min(max_size, u)
     counts = itertools.accumulate(math.comb(u, k) for k in range(size + 1))

@@ -437,7 +437,8 @@ class _Parser:
             if self.at_sym("*"):
                 self.next()
         elif not self.at_factor():
-            raise ParseError(f"expected a term, found {val!r}", pos)
+            found = "end of input" if kind is None else repr(val)
+            raise ParseError(f"expected a term, found {found}", pos)
         acc = None
         star = False  # a '*' between two factors requires the second
         while star or self.at_factor():

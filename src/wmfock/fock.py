@@ -15,7 +15,7 @@ the N case, index-0 letters denote the abstract bottom generator: under
 evaluation (at unit phase) both c(0) and a(0) act as the rank-one vacuum
 projection.  A word that survives has met each bottom letter at the
 vacuum, so its gauge factor z^(#c(0) - #a(0)) depends on the word alone;
-rewrite.equal_n puts that factor into the coefficients and evaluates here.
+level_image, the one level map, puts it into the coefficients.
 A word acts letter by letter on each tuple it meets; no (word, tuple) memo
 is kept, since recomputing a short word costs no more than hashing such a
 key.
@@ -227,6 +227,29 @@ def word_image(space: TruncSpace, w: Word, t: BasisTuple) -> Optional[BasisTuple
         if out is None:
             break
     return out
+
+
+def level_image(x: Element, level: int, z) -> Element:
+    """x under the level map: s_i goes to 0 below the level, to z times the
+    vacuum projection at it, and to s_(i - level) above it.
+
+    A word with a letter below the level is dropped; the others shift each
+    index down by the level, one to one, and their coefficient is multiplied
+    (native *) by z^(#c(level) - #a(level)), the conjugate of z standing for
+    its inverse.  z is a unimodular scalar or LaurentZ({1: 1}); the unit, and
+    a coefficient without a gauge factor, are kept as they are.
+    """
+    if x.case is not Case.N or level < 0:
+        raise ValueError("the level map takes N-case elements and a level >= 0")
+    terms = {}
+    for w, c in x.terms.items():
+        if any(i < level for i, _ in w):
+            continue
+        deg = sum(1 if dag else -1 for i, dag in w if i == level)
+        if deg:
+            c = c * math.prod([z if deg > 0 else z.conjugate()] * abs(deg))
+        terms[tuple((i - level, dag) for i, dag in w)] = c
+    return Element(Case.N, x.unit, terms)
 
 
 def accumulate(vec: dict, key, delta) -> None:

@@ -68,7 +68,7 @@ from typing import Callable, Dict, Iterable, NamedTuple, Optional, Tuple
 from . import scalars
 from .errors import FuelError, InternalConsistencyError, SizeLimitError
 from .expr import Case, Element, Token, Word, word_str
-from .fock import TruncSpace, accumulate, agree, column_action
+from .fock import TruncSpace, accumulate, agree, column_action, level_image
 
 MultiIndex = Tuple[int, ...]
 
@@ -423,19 +423,6 @@ def equal_z(x: Element, y: Element, tol: float = scalars.DEFAULT_TOL) -> bool:
 _EQUAL_N_CAP = 200_000
 
 
-def _gauged(x: Element) -> Element:
-    """x with each word's coefficient times its gauge factor z^(#c(0) - #a(0)).
-
-    fock evaluates s_0 at unit phase; with these coefficients that gives the
-    vacuum-level action, where s_0 acts as z P_vac.
-    """
-    terms = {}
-    for w, c in x.terms.items():
-        deg = sum(1 if dag else -1 for i, dag in w if i == 0)
-        terms[w] = scalars.mul(c, scalars.LaurentZ({deg: 1})) if deg else c
-    return Element(Case.N, x.unit, terms)
-
-
 def equal_n(x: Element, y: Element, tol: float = scalars.DEFAULT_TOL) -> bool:
     """Algebra equality in the N case, decided by two routes at once.
 
@@ -443,8 +430,9 @@ def equal_n(x: Element, y: Element, tol: float = scalars.DEFAULT_TOL) -> bool:
     under the vacuum-level representation with a formal gauge variable.
     With d one above the largest index and L the longest word (at least 1),
     its columns are every tuple of TruncSpace(N, 1, d, 2L + 1) with at most
-    L + 1 particles, deep enough to separate words of length L; each side's
-    gauge factors ride on its coefficients (see _gauged).  Their count, the
+    L + 1 particles, deep enough to separate words of length L; each side
+    is evaluated as its fock.level_image at level 0 with the formal z, so
+    its gauge factors ride on its coefficients.  Their count, the
     dimension of TruncSpace(N, 1, d, L + 1), is bounded before any work:
     above 200,000 columns SizeLimitError is raised.
     Agreeing canonical maps with disagreeing evaluations would mean the
@@ -465,7 +453,8 @@ def equal_n(x: Element, y: Element, tol: float = scalars.DEFAULT_TOL) -> bool:
     space = TruncSpace(Case.N, 1, d, 2 * maxlen + 1)
 
     maps_agree = normalize_n(x).agrees_with(normalize_n(y), tol)
-    gx, gy = _gauged(x), _gauged(y)
+    z = scalars.LaurentZ({1: 1})
+    gx, gy = level_image(x, 0, z), level_image(y, 0, z)
     evals_agree = all(agree(column_action(space, gx, t), column_action(space, gy, t), tol)
                       for t in space.tuples(max_particles=maxlen + 1))
 

@@ -8,9 +8,10 @@ n-fold tensor power of a single basis letter.  Averaged squared positions
 over a symmetric index window converge to a rank-one perturbation of half
 the identity; the residual is computed exactly on vectors.
 
-Representations at level n send the first n generators to zero, the n-th to
-a phase times the vacuum projection, and the rest to creators.  decompose
-recovers the level/phase/multiplicity data of a direct sum of such blocks.
+Representations at level n (fock.level_image) send the first n generators
+to zero, the n-th to a phase times the vacuum projection, and the rest to
+creators shifted down by n.  decompose recovers the level/phase/multiplicity
+data of a direct sum of such blocks.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .fock import (
     creator_tuple,
     evaluate,
     interior_columns,
+    level_image,
     vector_norm_sq,
 )
 from .exactla import nullspace
@@ -335,22 +337,12 @@ def _unimodular(phase) -> Tuple[bool, object]:
 
 
 def rep_matrix(spec: RepSpec, i: int) -> SparseMat:
-    """Matrix of the i-th generator: zero below the level, phase times the
-    vacuum projection at the level, creators shifted down by it above.
-
-    Each is one evaluate of an N-case word; at the level it is the bottom
-    letter c(0), the vacuum projection, with the phase (z when formal) as
-    its coefficient."""
+    """Matrix of the i-th generator: the evaluated fock.level_image of c(i)
+    at the spec's level, with the phase (z when formal) as the gauge."""
     if i < 0:
         raise ValueError("generator indices are nonnegative")
-    if i < spec.level:
-        x = Element.zero(Case.N)
-    elif i == spec.level:
-        z = scalars.LaurentZ({1: 1}) if spec.formal else spec.phase
-        x = Element.word(Case.N, ((0, True),), z)
-    else:
-        x = Element.creator(Case.N, i - spec.level)
-    return evaluate(spec.space, x)
+    z = scalars.LaurentZ({1: 1}) if spec.formal else spec.phase
+    return evaluate(spec.space, level_image(Element.creator(Case.N, i), spec.level, z))
 
 
 def verify_rep(spec: RepSpec, max_index: int) -> Report:
@@ -515,16 +507,11 @@ def check_decompose_size(d: int, particles: int,
 
 
 def _nullspace_dense(a: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-    """Orthonormal basis (columns) of the nullspace of a.
-
-    With at least as many rows as columns the thin SVD already holds every
-    row of vt, so the full one (and its square u) is taken only for a wide a.
-    """
+    """Orthonormal basis (columns) of the nullspace of a."""
     if a.shape[0] == 0:
         return np.eye(a.shape[1], dtype=complex)
-    _, s, vt = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
-    cut = tol * max(1.0, s[0] if len(s) else 0.0)
-    rank = int(np.sum(s > cut))
+    _, s, vt = np.linalg.svd(a, full_matrices=False)
+    rank = int(np.sum(s > tol * max(1.0, s[0])))
     return vt[rank:].conj().T
 
 
@@ -533,8 +520,7 @@ def _orth_columns(a: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     if a.size == 0:
         return np.zeros((a.shape[0], 0), dtype=complex)
     u, s, _ = np.linalg.svd(a, full_matrices=False)
-    cut = tol * max(1.0, s[0] if len(s) else 0.0)
-    rank = int(np.sum(s > cut))
+    rank = int(np.sum(s > tol * max(1.0, s[0])))
     return u[:, :rank]
 
 

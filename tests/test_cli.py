@@ -457,6 +457,8 @@ def test_certificate_float_coefficient():
      b"--window takes integers, got 'x'"),
     (("verify", "--suite", "rep-n", "--window", "1..3", "--particles", "2", "--levels", "0,a"),
      b"--levels takes integers, got 'a'"),
+    (("verify", "--suite", "exel-laca", "--window", "-3..3", "--particles", "2",
+      "--family", '{"pairs":[{"X":[99],"Y":[]}]}'), b"pair index 99 outside the universe"),
 ])
 def test_numeric_and_spec_faults_exit_2(args, expected):
     code, out, err = run_cli(*args)

@@ -159,3 +159,23 @@ def test_pair_bound_is_checked_before_any_identity(monkeypatch):
         verify_el_suite(space, WMZ, universe=range(-8, 9), max_size=3)
     with pytest.raises(SizeLimitError):
         verify_el_suite(space, WMZ, universe=range(-8, 9), max_size=10 ** 9)
+
+
+@pytest.mark.parametrize("spec, window, universe, pair, index", [
+    (WMZ, (-3, 3), range(-1, 2), ([99], []), 99),
+    (WMZ, (-3, 3), range(-1, 2), ([99], [0]), 99),
+    (WMZ, (-6, 6), range(-4, 5), ([5], [-5]), 5),
+    (WMZ, (-6, 6), range(-4, 5), ([0], [-5]), -5),
+    (WMN, (1, 6), range(3, 5), ([-5], []), -5),
+])
+def test_pair_indices_outside_the_universe_are_refused_before_any_identity(
+        monkeypatch, spec, window, universe, pair, index):
+    # a letter outside the universe could sit outside the columns' margin,
+    # or outside the window, so such a pair is refused before any work
+    def no_identities(*args, **kwargs):
+        raise AssertionError("identity checked before the pair indices")
+
+    monkeypatch.setattr(exel_laca, "run_identity", no_identities)
+    space = TruncSpace(spec.case, *window, 2)
+    with pytest.raises(ValueError, match=rf"^pair index {index} outside the universe$"):
+        verify_el_suite(space, spec, universe=universe, pairs=[([], []), pair])

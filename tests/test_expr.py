@@ -82,6 +82,14 @@ def test_parse_errors_carry_position():
         pytest.fail("expected a syntax error")
 
 
+@pytest.mark.parametrize("text, pos", [("c(1) -", 6), ("-", 1)])
+def test_a_missing_term_names_the_end_of_input(text, pos):
+    with pytest.raises(ParseError) as err:
+        parse(text, "Z")
+    assert str(err.value) == f"expected a term, found end of input (at position {pos})"
+    assert err.value.pos == pos
+
+
 def test_parse_nesting_is_bounded():
     deep = "(" * 2000 + "c(1)" + ")" * 2000
     with pytest.raises(ParseError, match="nested deeper"):

@@ -8,14 +8,14 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import random_element_z, random_word_z
+from conftest import random_element_z, random_scalar, random_word_z
 from wmfock import scalars
 from wmfock.errors import SizeLimitError
 from wmfock.expr import Element, parse
 from wmfock.fock import (DEFAULT_CAP, IdentityCheck, TruncSpace, WindowError, accumulate, agree,
                          apply_element_to_vector, build_generator,
                          column_action, enumerate_basis, evaluate,
-                         interior_columns, interior_tuples, operator_norm,
+                         interior_columns, interior_tuples, level_image, operator_norm,
                          operator_norm_interval, vector_norm_sq,
                          verify_identity, word_image)
 
@@ -342,6 +342,54 @@ def test_bottom_generator_evaluation_n():
     k = space.position(())
     assert m.entries == {(k, k): 1}
     assert evaluate(space, parse("p(0)", "N")).entries == {(k, k): 1}
+
+
+def test_level_image_frozen():
+    x = parse("2 I + c(2) a(1) + 3 c(1) c(1) a(1) + a(0) c(3) + c(3) c(2)", "N")
+    z = scalars.LaurentZ({1: 1})
+    # a(0) c(3) holds a letter below level 1 and is dropped; the level's
+    # letters become bottom letters and carry z^(#c(1) - #a(1))
+    got = level_image(x, 1, z)
+    assert got.unit == 2
+    assert list(got.terms.items()) == [
+        (((1, True), (0, False)), scalars.LaurentZ({-1: 1})),
+        (((0, True), (0, True), (0, False)), scalars.LaurentZ({1: 3})),
+        (((2, True), (1, True)), 1)]
+    # a numeric phase multiplies natively: a float stays a float, and an
+    # inverse power is the conjugate
+    phase = scalars.gaussian(Fraction(3, 5), Fraction(4, 5))
+    assert level_image(x, 1, phase).terms[((1, True), (0, False))] == phase.conjugate()
+    flipped = level_image(x, 1, -1.0).terms[((0, True), (0, True), (0, False))]
+    assert type(flipped) is float and flipped == -3.0
+    # at level 2 only c(3) c(2) survives, as c(1) c(0) with z^1
+    assert level_image(x, 2, z) == Element("N", 2, {((1, True), (0, True)): z})
+    assert level_image(x, 4, z) == Element.one("N", 2)
+    for bad in ((parse("c(1)", "Z"), 0), (x, -1)):
+        with pytest.raises(ValueError):
+            level_image(*bad, z)
+
+
+def test_level_image_at_level_zero_is_the_gauge():
+    # level 0 keeps every word and multiplies its coefficient by
+    # z^(#c(0) - #a(0)); a coefficient without a gauge factor is kept as it is
+    rng = Random(2424)
+    z = scalars.LaurentZ({1: 1})
+    seen = set()
+    for _ in range(300):
+        x = Element("N", random_scalar(rng), {
+            tuple((rng.randint(0, 3), rng.random() < 0.5) for _ in range(rng.randint(0, 4))):
+            scalars.gaussian(random_scalar(rng), random_scalar(rng))
+            for _ in range(rng.randint(1, 3))})
+        got = level_image(x, 0, z)
+        assert got.unit == x.unit and list(got.terms) == list(x.terms)
+        for w, c in x.terms.items():
+            deg = sum(1 if dag else -1 for i, dag in w if i == 0)
+            seen.add(deg)
+            if deg:
+                assert got.terms[w] == scalars.mul(c, scalars.LaurentZ({deg: 1}))
+            else:
+                assert got.terms[w] is c
+    assert seen >= {-2, -1, 0, 1, 2}
 
 
 # delta, then what accumulate stores into an empty vector and into {k: 1/2}

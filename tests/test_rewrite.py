@@ -183,6 +183,56 @@ def test_equal_n_matches_gauged_oracle():
     assert verdicts.count(True) > 20 and verdicts.count(False) > 20
 
 
+def _level_action(x: Element, level: int, z: complex, t: tuple, cap: int) -> dict:
+    """x e_t in the level representation, letter by letter from its definition:
+    s_i is 0 below the level, z times the vacuum projection at it, and
+    oracles.act_word's s_(i - level) above it."""
+    out: dict = {}
+    for w, c in [((), x.unit)] + list(x.terms.items()):
+        img, value = t, oracles.scalar_value(c)
+        for i, dag in reversed(w):
+            if i < level:
+                img = None
+            elif i == level:
+                img = img if img == () else None
+                value *= z if dag else z.conjugate()
+            else:
+                img = oracles.act_word("N", ((i - level, dag),), img, cap)
+            if img is None:
+                break
+        if img is not None:
+            out[img] = out.get(img, 0) + value
+    return out
+
+
+@given(st.integers(0, 2), st.integers(0, 2), st.integers(0, 1), st.integers(0, 10 ** 6))
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_normal_form_agrees_under_every_level_map(level, extra_width, extra_particles, seed):
+    # x and normalize_n(x) are one element of the algebra, so they agree in
+    # the level-n representations too: exactly under fock.level_image with the
+    # formal z, and at roots of unity against the letter-by-letter oracle
+    rng = Random(seed)
+    x = Element("N", random_scalar(rng) if rng.random() < 0.4 else 0, {
+        tuple((rng.randint(0, 3), rng.random() < 0.5) for _ in range(rng.randint(1, 4))):
+        random_scalar(rng) for _ in range(rng.randint(1, 3))})
+    y = normalize_n(x).to_element()
+    formal = scalars.LaurentZ({1: 1})
+    gx, gy = fock.level_image(x, level, formal), fock.level_image(y, level, formal)
+    margin = max(gx.max_surplus(), gy.max_surplus())
+    space = fock.TruncSpace("N", 1, max(1, 3 - level) + extra_width,
+                            margin + 1 + extra_particles)
+    roots = [cmath.exp(2j * cmath.pi * k / 9) for k in (1, 2, 4)]
+    for t in fock.interior_tuples(space, margin):
+        cx, cy = fock.column_action(space, gx, t), fock.column_action(space, gy, t)
+        assert fock.agree(cx, cy), (x, level, t)
+        for z in roots:
+            want = _level_action(x, level, z, t, space.trunc)
+            got = {k: v.substitute(z) if isinstance(v, scalars.LaurentZ) else complex(v)
+                   for k, v in cx.items()}
+            assert fock.agree(got, want, 1e-9)
+            assert fock.agree(want, _level_action(y, level, z, t, space.trunc), 1e-9)
+
+
 def test_equal_n_cap_is_checked_before_any_column(monkeypatch):
     def no_columns(*args):
         raise AssertionError("column_action called above the cap")

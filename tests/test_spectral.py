@@ -307,6 +307,33 @@ def test_rep_matrix_frozen():
             assert rep_matrix(spec, i).entries == build_generator(space, i - 1, True).entries
 
 
+def _three_way_rep_matrix(spec, i):
+    """rep_matrix as first written: zero below the level, the phase (z when
+    formal) on the bottom letter c(0) at it, and c(i - level) above it."""
+    if i < spec.level:
+        x = Element.zero(Case.N)
+    elif i == spec.level:
+        z = scalars.LaurentZ({1: 1}) if spec.formal else spec.phase
+        x = Element.word(Case.N, ((0, True),), z)
+    else:
+        x = Element.creator(Case.N, i - spec.level)
+    return evaluate(spec.space, x)
+
+
+@pytest.mark.parametrize("phase", ["formal", 1, scalars.gaussian(Fraction(3, 5), Fraction(4, 5)),
+                                   -1.0], ids=["formal", "1", "3/5+4/5i", "-1.0"])
+@pytest.mark.parametrize("level", [0, 1, 2])
+def test_rep_matrix_matches_the_three_way_reference(level, phase):
+    # the level map gives the same entries, in the same order, of the same types
+    spec = RepSpec(level, phase, TruncSpace("N", 1, 3, 3))
+    for i in range(level + 4):
+        got, want = rep_matrix(spec, i).entries, _three_way_rep_matrix(spec, i).entries
+        assert list(got.items()) == list(want.items())
+        assert [type(v) for v in got.values()] == [type(v) for v in want.values()]
+    with pytest.raises(ValueError, match="generator indices are nonnegative"):
+        rep_matrix(spec, -1)
+
+
 def test_rep_matrix_normal_partial_isometry():
     space = TruncSpace("N", 1, 3, 3)
     for level in (0, 1):
