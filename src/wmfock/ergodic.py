@@ -23,9 +23,9 @@ from .fock import (
     BasisTuple,
     TruncSpace,
     accumulate,
+    acting_tuples,
     apply_element_to_vector,
     creator_tuple,
-    interior_tuples,
     vector_norm_sq,
     word_image,
 )
@@ -87,14 +87,11 @@ def check_cesaro_bound(space: TruncSpace, word_element: Element, n: int,
     and ||avg||^2 = |c/n|^2 * max(most entries in one column, most entries
     in one row).
 
-    The work follows the shifts that act.  The first letter to act is w's
-    last letter shifted by k, so on a column t only the k it admits are
-    evaluated: k = t[0] - i for an annihilator a(i), one interval on the
-    admissible side of t[0] for a creator.  Those shifted words go through
-    word_image, their images are counted in ints per column and per row,
-    and c/n is formed once.  Two shifts meeting at one image (an entry
-    other than c/n), or columns of neither pattern, raise
-    InternalConsistencyError.  A space above its dimension cap raises
+    Each shift goes through word_image only on the interior columns its
+    first letter admits (fock.acting_tuples); the images are counted in ints
+    per column and per row, and c/n is formed once.  Two shifts meeting at
+    one image (an entry other than c/n), or columns of neither pattern,
+    raise InternalConsistencyError.  A space above its dimension cap raises
     SizeLimitError before any evaluation, and a window too small for the
     shifts raises WindowError.
     """
@@ -112,40 +109,24 @@ def check_cesaro_bound(space: TruncSpace, word_element: Element, n: int,
         space.check_indices(word_element.shift(k))
     # the average's coefficient, as cesaro_average would give it
     entry = scalars.mul(Fraction(1, n), scalars.add(0, coeff))
-    shifted = [word_shift(word, k) for k in range(n)]
-    last, creates = word[-1]
-    # a(0) of the N case is the vacuum projection: unshifted, it acts on ()
-    bottom = 1 if space.case is Case.N and last == 0 and not creates else 0
-    anti = space.case is Case.ANTI
-    per_row: Counter = Counter()
-    most_in_col = 0
-    columns = 0
-    for t in interior_tuples(space, word_surplus(word), 0):
-        columns += 1
-        if not t:
-            acting = range(n) if creates else range(bottom)
-        elif creates:
-            edge = t[0] - last
-            acting = range(min(n, edge + 1)) if anti else range(max(0, edge), n)
-        else:
-            k = t[0] - last
-            acting = range(k, k + 1) if 0 <= k < n else range(0)
-        col = [img for k in acting if (img := word_image(space, shifted[k], t)) is not None]
-        if len(set(col)) < len(col):
-            hits = next(h for h in map(col.count, col) if h > 1)
+    m = space.trunc - word_surplus(word)  # interior columns hold at most m particles
+    hits = [(t, img) for w in (word_shift(word, k) for k in range(n))
+            for t in acting_tuples(space, w, m) if (img := word_image(space, w, t)) is not None]
+    # zip(*hits) is the columns and the rows of the entries, or empty
+    most_in_col, most_in_row = [max(Counter(side).values()) for side in zip(*hits)] or [0, 0]
+    if most_in_col > 1 and most_in_row > 1:  # the only way two shifts can meet
+        met = [(t, h) for (t, _), h in Counter(hits).items() if h > 1]
+        if met:  # report the first column in basis order
+            t, h = min(met, key=lambda d: (len(d[0]), d[0]))
             raise InternalConsistencyError(
-                f"Cesaro average entry {scalars.to_text(scalars.mul(hits, entry))} at "
+                f"Cesaro average entry {scalars.to_text(scalars.mul(h, entry))} at "
                 f"column {t}, expected {scalars.to_text(entry)}")
-        if len(col) > most_in_col:
-            most_in_col = len(col)
-        per_row.update(col)
-    most_in_row = max(per_row.values(), default=0)
-    if most_in_col > 1 and most_in_row > 1:
         raise InternalConsistencyError(
             f"Cesaro average has {most_in_col} entries in one column and {most_in_row} "
             "in one row; its columns are neither row- nor column-disjoint")
     norm = math.sqrt(float(scalars.abs2(entry) * max(most_in_col, most_in_row)))
     bound = 1.0 / math.sqrt(n) + tol
+    columns = math.comb(space.width + m, m) if m >= 0 else 0
     return CesaroCheck(n, bound, norm, columns, norm <= bound)
 
 
@@ -222,12 +203,12 @@ def check_nonconvergence(space: TruncSpace, n: int) -> NonconvergenceCheck:
     and no entry exceeds 1 in modulus, so both norm bounds meet at 1.  The
     diagonal entry at index 0 is -1/n, the strong-convergence residual.
 
-    The average's entries are read off int counts: on each basis tuple t
-    the words a(-k)c(-k) whose creator c(-k) can act (t below the particle
-    cap, and -k >= t[0]) go through word_image, an image other than t
-    fails the diagonal check, and the images are counted, so n D[t, t] is
-    the int n [t = ()] - count.  The norm and the three reported entries
-    are divided by n once, at the end.
+    The average's entries are read off int counts: each word a(-k)c(-k)
+    goes through word_image on the tuples its creator admits
+    (fock.acting_tuples), an image other than the tuple fails the diagonal
+    check, and the hits are counted per tuple, so n D[t, t] is the int
+    n [t = ()] - hits[t].  The norm and the three reported entries are
+    divided by n once, at the end.
     SizeLimitError is raised before any work when n times the dimension of
     the space (every word on every tuple) exceeds NONCONVERGENCE_MAX_EVALS.
     """
@@ -243,26 +224,18 @@ def check_nonconvergence(space: TruncSpace, n: int) -> NonconvergenceCheck:
         raise SizeLimitError(f"non-convergence check: n = {n} words on every basis tuple need "
                              f"word evaluations above the bound of {NONCONVERGENCE_MAX_EVALS}")
     space.check_cap()
-    words = [((-k, False), (-k, True)) for k in range(n)]
     diag_ok = True
-    most = 0  # the largest |n * D[t, t]|
-    scaled: Dict[BasisTuple, int] = {}  # n * D[t, t] at the three tuples reported
-    for t in space.tuples():
-        if len(t) >= space.trunc:
-            acting = range(0)
-        else:
-            acting = range(min(n, 1 - t[0]) if t else n)
-        hits = 0
-        for k in acting:
-            img = word_image(space, words[k], t)
+    hits: Counter = Counter()
+    for w in (((-k, False), (-k, True)) for k in range(n)):
+        for t in acting_tuples(space, w):
+            img = word_image(space, w, t)
             if img is not None:
                 diag_ok = diag_ok and img == t
-                hits += 1
-        # D is 1 - avg at the vacuum and -avg elsewhere
-        m = (n if t == () else 0) - hits
-        most = max(most, abs(m))
-        if t in ((), (-n,), (0,)):
-            scaled[t] = m
+                hits[t] += 1
+    # D is 1 - avg at the vacuum and -avg elsewhere
+    vacuum = n - hits.pop((), 0)
+    scaled = {(): vacuum, (-n,): -hits[(-n,)], (0,): -hits[(0,)]}  # n * D[t, t]
+    most = max([abs(vacuum), *hits.values()])  # the largest |n * D[t, t]|
     if not diag_ok:
         scaled, most = {}, 0
     entry = {t: scalars.demote(Fraction(m, n)) for t, m in scaled.items()}

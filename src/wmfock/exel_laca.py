@@ -154,17 +154,20 @@ def verify_el_suite(
     """Exhaustive check of conditions (1)-(4) over a finite index universe.
 
     Column tuples are restricted to the universe's margin inside the window,
-    which loses nothing because every letter index lives in the universe: a
-    pair index outside it raises ValueError before any work.  With pairs
-    given, only those (X, Y) combinations are run for condition (4);
-    otherwise all pairs of subsets up to max_size (no subset is larger than
-    the universe), where combinations whose support set is infinite are
-    asserted to raise FinitenessError instead.  More than EL_MAX_PAIRS such
-    pairs raise SizeLimitError before any work, and so do more than
-    EL_MAX_COLUMNS identities times basis tuples of the universe's window.
+    which loses nothing because every letter index lives in the universe: an
+    empty universe, or a pair index outside it, raises ValueError before any
+    work.  With pairs given, only those (X, Y) combinations are run for
+    condition (4); otherwise all pairs of subsets up to max_size (no subset
+    is larger than the universe), where combinations whose support set is
+    infinite are asserted to raise FinitenessError instead.  More than
+    EL_MAX_PAIRS such pairs raise SizeLimitError before any work, and so do
+    more than EL_MAX_COLUMNS identities times basis tuples of the universe's
+    window.
     """
     case = spec.case
     universe = sorted(universe)
+    if not universe:
+        raise ValueError("the universe is empty")
     for i in universe:
         spec.check_index(i)
         if not space.contains_index(i):

@@ -29,6 +29,8 @@ basis listing is needed, so identity checks can run column by column on
 interior tuples of windows far beyond the cap.  Every column is built by
 column_action, whatever the coefficients: a lone coefficient is stored as
 it is, and coefficients meeting at one image are summed by the scalar layer.
+evaluate walks only the columns some word's first acting letter admits
+(acting_tuples, the one first-letter rule), or all of them given a unit.
 
 Interior contract: a word whose creator surplus is at most r maps the
 span of basis tuples with at most trunc - r particles exactly as the
@@ -44,7 +46,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -227,6 +229,27 @@ def word_image(space: TruncSpace, w: Word, t: BasisTuple) -> Optional[BasisTuple
         if out is None:
             break
     return out
+
+
+def acting_tuples(space: TruncSpace, w: Word,
+                  max_particles: Optional[int] = None) -> Iterator[BasisTuple]:
+    """The basis tuples with at most max_particles particles on which the
+    first acting letter of w (its last, inside the window as check_indices
+    asks) does not die, lazily in basis order.  A tuple's head is its
+    largest entry (its smallest for ANTI), so c(i) acts on the tuples below
+    the cap with every entry <= i (>= i for ANTI), a(i) on i followed by
+    such a tuple, the N case's bottom letter on the vacuum alone, and an
+    empty word on every tuple."""
+    top = space.trunc if max_particles is None else min(max_particles, space.trunc)
+    if not w:
+        return space.tuples(top)
+    i, dag = w[-1]
+    if i == 0 and space.case is Case.N:
+        return space.tuples(min(top, 0))
+    lo, hi = (i, None) if space.case is Case.ANTI else (None, i)
+    if dag:
+        return space.tuples(min(top, space.trunc - 1), lo, hi)
+    return ((i,) + s for s in space.tuples(top - 1, lo, hi))
 
 
 def level_image(x: Element, level: int, z) -> Element:
@@ -417,20 +440,19 @@ def build_generator(space: TruncSpace, i: int, dagger: bool) -> SparseMat:
     return evaluate(space, Element.word(space.case, ((i, dagger),)))
 
 
-def columns_matrix(space: TruncSpace, x: Element, cols: Sequence[BasisTuple]) -> SparseMat:
-    """Matrix of x restricted to the given column tuples (full row space)."""
-    space.materialize()
-    entries: dict = {}
-    for cpos, t in enumerate(cols):
-        for img, v in column_action(space, x, t).items():
-            entries[(space.position(img), cpos)] = v
-    return SparseMat(space.dimension, len(cols), entries)
-
-
 def evaluate(space: TruncSpace, x: Element) -> SparseMat:
-    """Matrix of x on the full truncated basis (materializes the basis)."""
+    """Matrix of x on the full truncated basis (materializes the basis),
+    walking in basis order the columns its words act on (acting_tuples), or
+    every column when x has a unit part."""
     space.check_indices(x)
-    return columns_matrix(space, x, space.materialize())
+    basis = space.materialize()
+    cols = range(len(basis)) if x.unit else \
+        sorted({space.position(t) for w in x.terms for t in acting_tuples(space, w)})
+    entries: dict = {}
+    for c in cols:
+        for img, v in column_action(space, x, basis[c]).items():
+            entries[(space.position(img), c)] = v
+    return SparseMat(len(basis), len(basis), entries)
 
 
 # --- interior contract -----------------------------------------------------------

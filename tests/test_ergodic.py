@@ -18,7 +18,7 @@ from wmfock.ergodic import (cesaro_average, check_cesaro_bound,
                             check_creator_sum_estimate, check_nonconvergence,
                             fixed_point_check, omega_t, vacuum_certificate)
 from wmfock.expr import Case, Element, parse, word_surplus
-from wmfock.fock import (TruncSpace, apply_element_to_vector, columns_matrix,
+from wmfock.fock import (TruncSpace, apply_element_to_vector, evaluate,
                          interior_tuples, word_image)
 from wmfock.rewrite import classify_word, equal_z, normalize_z
 from wmfock import scalars as sc
@@ -136,7 +136,7 @@ def test_cesaro_norm_is_exact(word, particles, coeff, n):
     chk = check_cesaro_bound(space, x, n)
     avg = cesaro_average(x, n)
     cols = list(interior_tuples(space, avg.max_surplus(), 0))
-    mat = columns_matrix(space, avg, cols)
+    mat = evaluate(space, avg).submatrix(cols=[space.position(t) for t in cols])
     rows = sorted({r for r, _ in mat.entries})
     used = sorted({c for _, c in mat.entries})
     want = oracles.svd_norm(oracles.dense(mat.submatrix(rows=rows, cols=used)))

@@ -179,3 +179,13 @@ def test_pair_indices_outside_the_universe_are_refused_before_any_identity(
     space = TruncSpace(spec.case, *window, 2)
     with pytest.raises(ValueError, match=rf"^pair index {index} outside the universe$"):
         verify_el_suite(space, spec, universe=universe, pairs=[([], []), pair])
+
+
+@pytest.mark.parametrize("pairs", [None, [([], [])]])
+def test_an_empty_universe_is_refused_before_any_identity(monkeypatch, pairs):
+    def no_identities(*args, **kwargs):
+        raise AssertionError("identity checked for an empty universe")
+
+    monkeypatch.setattr(exel_laca, "run_identity", no_identities)
+    with pytest.raises(ValueError, match="^the universe is empty$"):
+        verify_el_suite(TruncSpace("Z", -3, 3, 2), WMZ, universe=[], pairs=pairs)

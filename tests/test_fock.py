@@ -6,18 +6,21 @@ from random import Random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from conftest import random_element_z, random_scalar, random_word_z
-from wmfock import scalars
+from wmfock import fock, scalars
 from wmfock.errors import SizeLimitError
 from wmfock.expr import Element, parse
-from wmfock.fock import (DEFAULT_CAP, IdentityCheck, TruncSpace, WindowError, accumulate, agree,
+from wmfock.fock import (DEFAULT_CAP, IdentityCheck, SparseMat, TruncSpace, WindowError,
+                         accumulate, acting_tuples, agree,
                          apply_element_to_vector, build_generator,
                          column_action, enumerate_basis, evaluate,
                          interior_columns, interior_tuples, level_image, operator_norm,
                          operator_norm_interval, vector_norm_sq,
                          verify_identity, word_image)
+from wmfock.spectral import RepSpec, rep_matrix
 
 
 def test_basis_frozen_n_case():
@@ -445,3 +448,88 @@ def test_dimension_exceeds_matches_the_closed_form(case, lo, hi, trunc):
         TruncSpace(case, lo, hi, trunc, cap=dim - 1).materialize()
     # a huge particle cap is refused after a few levels
     assert TruncSpace(case, lo, hi, 10 ** 12).dimension_exceeds(dim)
+
+
+# --- the first-letter rule --------------------------------------------------------
+
+def draw_window(draw):
+    """A case, a window and a strategy for words of up to 3 letters: the
+    window's indices and, in the N case, the bottom letter 0."""
+    case = draw(st.sampled_from(["Z", "N", "ANTI"]))
+    lo = draw(st.integers(-2, 1) if case == "Z" else st.integers(1, 2))
+    hi = lo + draw(st.integers(0, 3))
+    index = st.sampled_from([0] * (case == "N") + list(range(lo, hi + 1)))
+    return case, lo, hi, st.lists(st.tuples(index, st.booleans()), max_size=3).map(tuple)
+
+
+@st.composite
+def letter_inputs(draw):
+    """A space's case, window and particle cap, a word and a particle bound."""
+    case, lo, hi, words = draw_window(draw)
+    trunc = draw(st.integers(0, 3))
+    word = draw(words)
+    bound = draw(st.none() | st.integers(-1, 4))
+    return case, lo, hi, trunc, word, bound
+
+
+@given(letter_inputs())
+@settings(max_examples=300, deadline=None, derandomize=True)
+# the bottom letters, 0 particles, a negative bound, an empty word, and an
+# ANTI creator and annihilator
+@example(("N", 1, 3, 2, ((0, False),), None))
+@example(("N", 2, 3, 2, ((2, False), (0, True)), 1))
+@example(("Z", -1, 1, 0, ((0, True),), None))
+@example(("Z", -1, 1, 2, ((1, False),), -1))
+@example(("Z", -1, 1, 2, (), 1))
+@example(("ANTI", 1, 3, 3, ((2, True),), 2))
+@example(("ANTI", 1, 3, 3, ((1, True), (2, False)), None))
+def test_acting_tuples_are_the_tuples_the_last_letter_acts_on(inputs):
+    case, lo, hi, trunc, word, bound = inputs
+    space = TruncSpace(case, lo, hi, trunc)
+    want = [t for t in space.tuples(bound)
+            if not word or oracles.act_letter(case, *word[-1], t, trunc) is not None]
+    assert list(acting_tuples(space, word, bound)) == want
+
+
+COEFFS = [1, -1, Fraction(1, 2), Fraction(-3, 4), 0.25, 1j,
+          scalars.gaussian(Fraction(1, 2), Fraction(-1, 3)), scalars.LaurentZ({1: 1})]
+
+
+@st.composite
+def evaluate_inputs(draw):
+    """A space and an element of it: units, empty words and N bottom letters."""
+    case, lo, hi, words = draw_window(draw)
+    terms = draw(st.dictionaries(words, st.sampled_from(COEFFS), max_size=4))
+    unit = draw(st.sampled_from([0, 0, 1, Fraction(2, 3), 0.5]))
+    return TruncSpace(case, lo, hi, draw(st.integers(0, 4))), Element(case, unit, terms)
+
+
+@given(evaluate_inputs())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_evaluate_matches_a_full_column_walk(inputs):
+    # entries, their insertion order and their types, as if every column
+    # were walked
+    space, x = inputs
+    want = SparseMat(space.dimension, space.dimension,
+                     {(space.position(img), c): v for c, t in enumerate(space.basis)
+                      for img, v in column_action(space, x, t).items()})
+    got = evaluate(space, x)
+    assert (got.n_rows, got.n_cols) == (want.n_rows, want.n_cols)
+    assert [(k, type(v), repr(v)) for k, v in got.entries.items()] == \
+        [(k, type(v), repr(v)) for k, v in want.entries.items()]
+
+
+def test_evaluate_walks_only_the_columns_its_words_act_on(monkeypatch):
+    walked = []
+
+    def counting(space, x, t):
+        walked.append(t)
+        return column_action(space, x, t)
+
+    monkeypatch.setattr(fock, "column_action", counting)
+    space = TruncSpace("N", 1, 4, 3)
+    assert evaluate(space, Element.zero("N")).is_zero() and walked == []
+    # generator 1 below level 2 is the zero map
+    assert rep_matrix(RepSpec(2, "formal", space), 1).is_zero() and walked == []
+    assert len(evaluate(space, Element.creator("N", 0)).entries) == 1
+    assert walked == [()]

@@ -15,7 +15,7 @@ from wmfock.ergodic import check_cesaro_bound, check_nonconvergence
 from wmfock.errors import SizeLimitError
 from wmfock.expr import Case, Element, parse
 from wmfock.fock import (SparseMat, TruncSpace, apply_element_to_vector,
-                         build_generator, evaluate)
+                         build_generator, evaluate, level_image)
 from wmfock.rewrite import equal_n
 from wmfock.spectral import (Polynomial, RepSpec, build_direct_sum,
                              check_decompose_size, check_rep_size, commutant_dim, decompose,
@@ -380,6 +380,25 @@ def test_verify_rep_exactness():
     report = verify_rep(RepSpec(0, "formal", space), 3)
     for inst in report.instances:
         assert inst.discrepancy in (None, "exact-0", 0)
+
+
+# negative controls: the level map as it is, gauged with the conjugate
+# phase, and ignoring the level (always level 0), with the instances each
+# one fails at level 1
+REP_FAULTS = [
+    (level_image, []),
+    (lambda x, level, z: level_image(x, level, z.conjugate()), ["gauge-degree[1]"]),
+    (lambda x, level, z: level_image(x, 0, z), ["vacuum-projection"]),
+]
+
+
+@pytest.mark.parametrize("level_map, failing", REP_FAULTS,
+                         ids=["as-is", "conjugate-gauge", "level-ignored"])
+def test_rep_n_refutes_a_faulty_level_map(monkeypatch, level_map, failing):
+    monkeypatch.setattr(spectral, "level_image", level_map)
+    report = verify_rep(RepSpec(1, "formal", TruncSpace("N", 1, 4, 3)), 3)
+    assert len(report.instances) == 25
+    assert [i.id for i in report.instances if not i.passed] == failing
 
 
 def test_decompose_frozen_mixture():
