@@ -22,7 +22,7 @@ from .errors import (
     WindowError,
 )
 from .expr import Case, Element, ParseError, parse, word_str
-from .scalars import GaussianRational, LaurentZ, gaussian
+from .scalars import GaussianRational, gaussian
 from .rewrite import (
     NormalFormN,
     NormalFormZ,
@@ -47,7 +47,6 @@ from .exel_laca import (
     ELKind,
     ELMatrixSpec,
     a_coeff,
-    relation_instance,
     support_set,
     verify_el_suite,
 )
@@ -82,14 +81,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Case", "Element", "ParseError", "parse", "word_str",
-    "GaussianRational", "LaurentZ", "gaussian",
+    "GaussianRational", "gaussian",
     "NormalFormZ", "NormalFormN", "classify_word",
     "normalize_z", "normalize_n", "equal_z", "equal_n",
     "TruncSpace", "SparseMat", "enumerate_basis", "evaluate",
     "build_generator", "apply_element_to_vector", "verify_identity",
     "operator_norm", "operator_norm_interval",
-    "ELKind", "ELMatrixSpec", "a_coeff", "support_set",
-    "relation_instance", "verify_el_suite",
+    "ELKind", "ELMatrixSpec", "a_coeff", "support_set", "verify_el_suite",
     "cesaro_average", "check_cesaro_bound", "check_creator_sum_estimate",
     "check_nonconvergence", "omega_t", "fixed_point_check", "vacuum_certificate",
     "Polynomial", "recurrence_family", "position_element", "vacuum_moment",

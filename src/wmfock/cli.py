@@ -170,10 +170,12 @@ def _cmd_verify(args) -> Report:
                                            "maxIndex": max_index})
     levels = _parse_ints("--levels", args.levels)
     check_rep_size(space, len(levels), max_index)
-    for level in levels:
-        sub = verify_rep(RepSpec(level, "formal", space), max_index)
+    # every level is refused or admitted before the first is verified
+    specs = [RepSpec(level, "formal", space) for level in levels]
+    for spec in specs:
+        sub = verify_rep(spec, max_index)
         for inst in sub.instances:
-            report.add(Instance(f"level{level}:{inst.id}", inst.passed,
+            report.add(Instance(f"level{spec.level}:{inst.id}", inst.passed,
                                 inst.discrepancy, inst.details))
     return report
 

@@ -117,12 +117,6 @@ def condition_elements(spec: ELMatrixSpec, X: Sequence[int], Y: Sequence[int]) -
     return lhs, rhs
 
 
-def relation_instance(spec: ELMatrixSpec, X: Sequence[int],
-                      Y: Sequence[int]) -> Tuple[Element, Element]:
-    """The sum-relation instance for (X, Y) as a (lhs, rhs) pair."""
-    return condition_elements(spec, X, Y)
-
-
 def _set_label(s: Sequence[int]) -> str:
     return "{" + ",".join(str(v) for v in sorted(s)) + "}"
 

@@ -259,8 +259,8 @@ def level_image(x: Element, level: int, z) -> Element:
     A word with a letter below the level is dropped; the others shift each
     index down by the level, one to one, and their coefficient is multiplied
     (native *) by z^(#c(level) - #a(level)), the conjugate of z standing for
-    its inverse.  z is a unimodular scalar or LaurentZ({1: 1}); the unit, and
-    a coefficient without a gauge factor, are kept as they are.
+    its inverse.  z is a unimodular scalar; the unit, and a coefficient
+    without a gauge factor, are kept as they are.
     """
     if x.case is not Case.N or level < 0:
         raise ValueError("the level map takes N-case elements and a level >= 0")
@@ -339,7 +339,7 @@ def vector_norm_sq(vec: Dict[BasisTuple, scalars.Scalar]):
 # --- sparse matrices -----------------------------------------------------------
 
 class SparseMat:
-    """Dict-of-entries sparse matrix over the scalar tower (or LaurentZ)."""
+    """Dict-of-entries sparse matrix over the scalar tower."""
 
     __slots__ = ("n_rows", "n_cols", "entries")
 
@@ -418,15 +418,10 @@ class SparseMat:
     def max_abs_entry(self) -> float:
         return max((scalars.abs_value(v) for v in self.entries.values()), default=0.0)
 
-    def to_dense(self, z: Optional[complex] = None) -> np.ndarray:
+    def to_dense(self) -> np.ndarray:
         out = np.zeros((self.n_rows, self.n_cols), dtype=complex)
         for (r, c), v in self.entries.items():
-            if isinstance(v, scalars.LaurentZ):
-                if z is None:
-                    raise TypeError("formal Laurent entries need a z value to densify")
-                out[r, c] = v.substitute(z)
-            else:
-                out[r, c] = scalars.to_complex(v)
+            out[r, c] = scalars.to_complex(v)
         return out
 
     def __repr__(self):
@@ -542,8 +537,6 @@ def _to_arrays(mat: SparseMat):
     any_complex = False
     vals_list = []
     for k, ((r, c), v) in enumerate(mat.entries.items()):
-        if isinstance(v, scalars.LaurentZ):
-            raise TypeError("norms of formal Laurent matrices are undefined; substitute z first")
         rows[k] = r
         cols[k] = c
         z = scalars.to_complex(v)

@@ -13,14 +13,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Dict, List, Optional
 
-from .scalars import GaussianRational, LaurentZ, to_json as scalar_json
+from .scalars import GaussianRational, to_json as scalar_json
 
 EXACT_ZERO = "exact-0"
 
 
 def jsonify(obj: Any) -> Any:
     """Recursively convert scalars/tuples into JSON-ready values."""
-    if isinstance(obj, (Fraction, GaussianRational, LaurentZ)):
+    if isinstance(obj, (Fraction, GaussianRational)):
         return scalar_json(obj)
     if isinstance(obj, complex):
         return {"re": obj.real, "im": obj.imag}

@@ -74,9 +74,9 @@ MultiIndex = Tuple[int, ...]
 
 # Coefficient types that the fold uses as they are when a word's
 # multiplicity is 1: scalars.mul(c, 1) equals c for them up to the demotion
-# that the following add or accumulate applies anyway.  A float, complex,
-# bool or LaurentZ still goes through mul, whose complex normal form can
-# change it (a bool becomes complex, an infinite part times 0j gives nan).
+# that the following add or accumulate applies anyway.  A float, complex
+# or bool still goes through mul, whose complex normal form can change it
+# (a bool becomes complex, an infinite part times 0j gives nan).
 _EXACT = (int, Fraction, scalars.GaussianRational)
 
 
@@ -423,18 +423,32 @@ def equal_z(x: Element, y: Element, tol: float = scalars.DEFAULT_TOL) -> bool:
 _EQUAL_N_CAP = 200_000
 
 
+def _charge_parts(x: Element) -> Dict[int, Tuple[object, dict]]:
+    """x split by charge, #creators - #annihilators: {charge: (unit, terms)},
+    with the unit at charge 0."""
+    parts = {0: (x.unit, {})}
+    for w, c in x.terms.items():
+        parts.setdefault(sum(1 if dag else -1 for _, dag in w), (0, {}))[1][w] = c
+    return parts
+
+
 def equal_n(x: Element, y: Element, tol: float = scalars.DEFAULT_TOL) -> bool:
     """Algebra equality in the N case, decided by two routes at once.
 
     Route one compares canonical path maps; route two evaluates both sides
-    under the vacuum-level representation with a formal gauge variable.
+    in the vacuum-level representation at every unimodular phase, by charge.
+    The gauge action gamma_z(s_i) = z s_i (Exel and Laca, "Cuntz-Krieger
+    algebras for infinite matrices", 1999; Raeburn, Graph Algebras, CBMS
+    103, 2005) puts the entry (r, c) of a word of charge
+    Q = #creators - #annihilators at gauge degree Q - (|r| - |c|).  So the
+    sides agree at every phase exactly when their parts of each charge (the
+    unit's is 0) agree as fock.level_image at level 0 with z = 1; a charge
+    whose two parts hold the same unit and terms is skipped.
     With d one above the largest index and L the longest word (at least 1),
-    its columns are every tuple of TruncSpace(N, 1, d, 2L + 1) with at most
-    L + 1 particles, deep enough to separate words of length L; each side
-    is evaluated as its fock.level_image at level 0 with the formal z, so
-    its gauge factors ride on its coefficients.  Their count, the
-    dimension of TruncSpace(N, 1, d, L + 1), is bounded before any work:
-    above 200,000 columns SizeLimitError is raised.
+    the columns are every tuple of TruncSpace(N, 1, d, 2L + 1) with at most
+    L + 1 particles, deep enough to separate words of length L.  Their
+    count, the dimension of TruncSpace(N, 1, d, L + 1), is bounded before
+    any work: above 200,000 columns SizeLimitError is raised.
     Agreeing canonical maps with disagreeing evaluations would mean the
     rewriter itself is broken, so that combination raises
     InternalConsistencyError.  The converse is expected: canonical path
@@ -453,10 +467,18 @@ def equal_n(x: Element, y: Element, tol: float = scalars.DEFAULT_TOL) -> bool:
     space = TruncSpace(Case.N, 1, d, 2 * maxlen + 1)
 
     maps_agree = normalize_n(x).agrees_with(normalize_n(y), tol)
-    z = scalars.LaurentZ({1: 1})
-    gx, gy = level_image(x, 0, z), level_image(y, 0, z)
-    evals_agree = all(agree(column_action(space, gx, t), column_action(space, gy, t), tol)
-                      for t in space.tuples(max_particles=maxlen + 1))
+    px, py = _charge_parts(x), _charge_parts(y)
+    cols = list(space.tuples(max_particles=maxlen + 1))
+
+    def charge_agrees(q: int) -> bool:
+        a, b = px.get(q, (0, {})), py.get(q, (0, {}))
+        if a == b:
+            return True
+        ga, gb = (level_image(Element(Case.N, *part), 0, 1) for part in (a, b))
+        return all(agree(column_action(space, ga, t), column_action(space, gb, t), tol)
+                   for t in cols)
+
+    evals_agree = all(charge_agrees(q) for q in px.keys() | py.keys())
 
     if maps_agree and not evals_agree:
         raise InternalConsistencyError(

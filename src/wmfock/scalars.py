@@ -6,23 +6,20 @@ Coefficients live in a small tower:
     GaussianRational    exact complex rationals re + im*i
     complex / float     inexact fallback
 
-plus ``LaurentZ``, Laurent polynomials in a formal unimodular variable z
-(so conj(z^k) = z^-k), used for gauge-parametric representation entries.
-
-GaussianRational and LaurentZ carry operator methods, so ``+ - * /`` and
-truth testing work natively on int, Fraction and GaussianRational (native
+GaussianRational carries operator methods, so ``+ - * /`` and truth
+testing work natively on int, Fraction and GaussianRational (native
 ``int / int`` is still a float: divide from a Fraction, or with div()).  A
 GaussianRational result demotes to int or Fraction when its imaginary part
 is 0, and contact with a float or complex gives a complex.
 
 The free functions add, sub, neg, mul, div, conj, is_zero, eq and abs_value
-are these operators plus the tower's normal form, and all but div accept
-LaurentZ too.  On exact inputs add, sub, mul and div give exact outputs,
-with a Fraction of denominator 1 returned as an int; a float or complex
-operand makes their result complex, since both operands are taken to
-complex before the operator runs.  neg keeps its operand's type, and conj
-makes only floats complex.  Equality between inexact values is decided
-with an absolute tolerance (default 1e-12).
+are these operators plus the tower's normal form.  On exact inputs add,
+sub, mul and div give exact outputs, with a Fraction of denominator 1
+returned as an int; a float or complex operand makes their result complex,
+since both operands are taken to complex before the operator runs.  neg
+keeps its operand's type, and conj makes only floats complex.  Equality
+between inexact values is decided with an absolute tolerance (default
+1e-12).
 """
 
 from __future__ import annotations
@@ -146,7 +143,7 @@ def to_complex(s: Scalar) -> complex:
 def _operands(a, b):
     # on float or complex contact both operands go to complex, so the
     # operator runs in complex arithmetic whatever mix came in
-    if isinstance(a, LaurentZ) or isinstance(b, LaurentZ) or (is_exact(a) and is_exact(b)):
+    if is_exact(a) and is_exact(b):
         return a, b
     return complex(a), complex(b)
 
@@ -198,20 +195,13 @@ def abs2(a: Scalar) -> Scalar:
     return z.real * z.real + z.imag * z.imag
 
 
-def abs_value(a) -> float:
-    """|a| as a float; a LaurentZ measures as the sum of its coefficients' moduli."""
-    if isinstance(a, LaurentZ):
-        return sum(abs_value(v) for v in a.coeffs.values())
+def abs_value(a: Scalar) -> float:
+    """|a| as a float."""
     return math.sqrt(float(abs2(a)))
 
 
-def eq(a, b, tol: float = DEFAULT_TOL) -> bool:
-    """Exact equality when both sides are exact, |a-b| <= tol otherwise.
-
-    LaurentZ values compare coefficient by coefficient.
-    """
-    if isinstance(a, LaurentZ) or isinstance(b, LaurentZ):
-        return all(eq(v, 0, tol) for v in (a - b).coeffs.values())
+def eq(a: Scalar, b: Scalar, tol: float = DEFAULT_TOL) -> bool:
+    """Exact equality when both sides are exact, |a-b| <= tol otherwise."""
     if is_exact(a) and is_exact(b):
         return a == b
     return abs(complex(a) - complex(b)) <= tol
@@ -254,105 +244,5 @@ def to_json(s: Scalar):
         return s
     if isinstance(s, complex):
         return {"re": s.real, "im": s.imag}
-    if isinstance(s, LaurentZ):
-        return s.to_json()
     raise TypeError(f"not a scalar: {s!r}")
 
-
-class LaurentZ:
-    """Laurent polynomial in a formal unimodular z; conj sends z^k to z^-k.
-
-    Coefficients are scalars from the tower above, brought to its normal
-    form on construction: zero coefficients are dropped, exact ones demoted
-    and inexact ones made complex, so a result does not depend on which
-    operand was a LaurentZ.  Instances are immutable in use: arithmetic
-    returns fresh objects.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=None):
-        clean = {}
-        if coeffs:
-            for k, v in coeffs.items():
-                if not is_zero(v):
-                    clean[int(k)] = demote(v) if is_exact(v) else complex(v)
-        self.coeffs = clean
-
-    @classmethod
-    def var(cls, power: int = 1, coeff: Scalar = 1) -> "LaurentZ":
-        return cls({power: coeff})
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def __add__(self, other):
-        other = _as_laurent(other)
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = add(out.get(k, 0), v)
-        return LaurentZ(out)
-
-    def __radd__(self, other):
-        return _as_laurent(other) + self
-
-    def __neg__(self):
-        return LaurentZ({k: neg(v) for k, v in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + (-_as_laurent(other))
-
-    def __rsub__(self, other):
-        return _as_laurent(other) + (-self)
-
-    def __mul__(self, other):
-        other = _as_laurent(other)
-        out: dict = {}
-        for k1, v1 in self.coeffs.items():
-            for k2, v2 in other.coeffs.items():
-                k = k1 + k2
-                out[k] = add(out.get(k, 0), mul(v1, v2))
-        return LaurentZ(out)
-
-    def __rmul__(self, other):
-        return _as_laurent(other) * self
-
-    def conjugate(self) -> "LaurentZ":
-        return LaurentZ({-k: conj(v) for k, v in self.coeffs.items()})
-
-    def substitute(self, z: complex) -> complex:
-        total = 0j
-        for k, v in self.coeffs.items():
-            total += to_complex(v) * z**k
-        return total
-
-    def degree_support(self):
-        return sorted(self.coeffs)
-
-    def __eq__(self, other):
-        if not isinstance(other, LaurentZ):
-            other = _as_laurent(other)
-        if set(self.coeffs) != set(other.coeffs):
-            return False
-        return all(eq(v, other.coeffs[k]) for k, v in self.coeffs.items())
-
-    def __hash__(self):
-        return hash(tuple(sorted((k, to_complex(v)) for k, v in self.coeffs.items())))
-
-    def to_json(self):
-        return {f"z^{k}": to_json(v) for k, v in sorted(self.coeffs.items())}
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "LaurentZ(0)"
-        bits = [f"{to_text(v)}*z^{k}" for k, v in sorted(self.coeffs.items())]
-        return "LaurentZ(" + " + ".join(bits) + ")"
-
-
-def _as_laurent(x) -> LaurentZ:
-    if isinstance(x, LaurentZ):
-        return x
-    return LaurentZ({0: x})

@@ -338,28 +338,40 @@ def _unimodular(phase) -> Tuple[bool, object]:
 
 def rep_matrix(spec: RepSpec, i: int) -> SparseMat:
     """Matrix of the i-th generator: the evaluated fock.level_image of c(i)
-    at the spec's level, with the phase (z when formal) as the gauge."""
+    at the spec's level, with the phase as the gauge.  A formal spec has no
+    matrix, since no scalar stands for every phase: ValueError."""
     if i < 0:
         raise ValueError("generator indices are nonnegative")
-    z = scalars.LaurentZ({1: 1}) if spec.formal else spec.phase
-    return evaluate(spec.space, level_image(Element.creator(Case.N, i), spec.level, z))
+    if spec.formal:
+        raise ValueError("a formal spec has no matrix: give a unimodular phase")
+    return evaluate(spec.space, level_image(Element.creator(Case.N, i), spec.level, spec.phase))
 
 
 def verify_rep(spec: RepSpec, max_index: int) -> Report:
     """Defining relations, partial isometry, vacuum-projection identity and
-    the gauge degree pattern, all exact in the formal Laurent ring.
+    the gauge degree pattern, all exact, at every unimodular phase at once.
 
-    A numeric phase is verified through its formal twin: every identity is
-    checked with z kept formal, which covers all unimodular substitutions at
-    once, so the numeric phase only needs its modulus checked.
+    This rests on the charge argument.  Under the level map, the gauge
+    action gamma_z(s_i) = z s_i (Exel and Laca, "Cuntz-Krieger algebras for
+    infinite matrices", 1999; Raeburn, Graph Algebras, CBMS 103, 2005) puts
+    the entry (r, c) of a word of charge Q = #creators - #annihilators at
+    gauge degree Q - (|r| - |c|).  So an identity between elements of one
+    charge holds at every unimodular phase exactly when it holds at phase 1.
+    Each relation here has one charge (orthogonal, sum-relation and
+    vacuum-projection 0, partial-isometry 1) and is checked on generators
+    built at phase 1.  gauge-degree[i] checks the degree pattern itself, at
+    the phase z0 = (3+4i)/5: every entry (r, c) of generator i must equal
+    z0^(1 - |r| + |c|).  A numeric phase is covered by these checks, so
+    only its modulus is checked besides; "formal" names the check for
+    every unimodular phase.
     """
     space = spec.space
     n = spec.level
     if max_index > n and max_index - n > space.hi:
         raise WindowError(f"generator {max_index} needs window top {max_index - n}")
-    formal = RepSpec(n, "formal", space)
+    unit_phase = RepSpec(n, 1, space)
     extra = n + 1  # generator used by the vacuum-projection identity
-    gens = {i: rep_matrix(formal, i) for i in (*range(max_index + 1), extra)}
+    gens = {i: rep_matrix(unit_phase, i) for i in (*range(max_index + 1), extra)}
     dim = space.dimension  # rep_matrix listed the basis
     cols = interior_columns(space, 1, 0)
     levels = [len(t) for t in space.basis]
@@ -396,12 +408,15 @@ def verify_rep(spec: RepSpec, max_index: int) -> Report:
     pom_want = evaluate(space, Element.creator(Case.N, 0))
     exact_instance("vacuum-projection", (pom - pom_want).submatrix(cols=cols),
                    {"generator": extra})
+    z0 = scalars.gaussian(Fraction(3, 5), Fraction(4, 5))  # not a root of unity
+    gauged, powers = RepSpec(n, z0, space), {}  # powers: z0^k by k
     for i in range(max_index + 1):
         bad = 0
-        for (r, c), v in gens[i].entries.items():
-            k = _monomial_degree(v)
-            if k is None or k != 1 - levels[r] + levels[c]:
-                bad += 1
+        for (r, c), v in rep_matrix(gauged, i).entries.items():
+            k = 1 - levels[r] + levels[c]
+            if k not in powers:
+                powers[k] = math.prod([z0 if k > 0 else z0.conjugate()] * abs(k))
+            bad += not scalars.eq(v, powers[k])
         report.add(Instance(f"gauge-degree[{i}]", bad == 0,
                             EXACT_ZERO if bad == 0 else float(bad)))
     return report
@@ -415,13 +430,6 @@ def check_rep_size(space: TruncSpace, levels: int, max_index: int) -> None:
         raise SizeLimitError(f"rep-n suite: {levels} levels of generators 0..{max_index} with "
                              f"{space.trunc} particles on {space.width} indices could take "
                              f"more than {REP_MAX_WORK:,} steps")
-
-
-def _monomial_degree(v) -> Optional[int]:
-    if isinstance(v, scalars.LaurentZ):
-        nz = [k for k, c in v.coeffs.items() if not scalars.is_zero(c)]
-        return nz[0] if len(nz) == 1 else None
-    return 0 if not scalars.is_zero(v) else None
 
 
 # --- direct sums and their decomposition ------------------------------------

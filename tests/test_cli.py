@@ -243,6 +243,17 @@ def test_exit_internal_error(monkeypatch, capsys):
     assert "internal consistency" in capsys.readouterr().err
 
 
+def test_rep_n_refuses_a_bad_level_before_verifying_any(monkeypatch, capsys):
+    def no_verify(*args):
+        raise AssertionError("a level was verified before every level was checked")
+    monkeypatch.setattr(cli, "verify_rep", no_verify)
+    code = cli.main(["verify", "--suite", "rep-n", "--window", "1..40", "--particles", "2",
+                     "--levels", "0,1,2,-1"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("\n") == 1 and err.startswith("error:") and "level must be nonnegative" in err
+
+
 def test_reports_deterministic():
     mask = lambda b: RUNTIME.sub(b'"runtimeMillis": X', b)
     for args in (("rewrite", "--case", "z", "--expr", "q(2) p(1)"),

@@ -6,8 +6,7 @@ from hypothesis import given, strategies as st
 from wmfock import exel_laca
 from wmfock.errors import SizeLimitError
 from wmfock.exel_laca import (ELKind, ELMatrixSpec, FinitenessError, a_coeff,
-                              condition_elements, relation_instance,
-                              support_set, verify_el_suite)
+                              condition_elements, support_set, verify_el_suite)
 from wmfock.expr import Element, parse
 from wmfock.fock import TruncSpace, verify_identity
 from wmfock.rewrite import equal_z
@@ -72,13 +71,13 @@ def test_a_coeff_multiplicative(X1, X2, Y, j):
 
 
 def test_relation_instance_frozen():
-    lhs, rhs = relation_instance(WMZ, [3], [0])
+    lhs, rhs = condition_elements(WMZ, [3], [0])
     assert equal_z(lhs, parse("q(3)(I - q(0))", "Z"))
     assert equal_z(rhs, parse("p(1) + p(2) + p(3)", "Z"))
 
 
 def test_relation_instance_empty_support():
-    lhs, rhs = relation_instance(WMZ, [0], [0])
+    lhs, rhs = condition_elements(WMZ, [0], [0])
     assert rhs.is_zero()
     # lhs = q(0)(I - q(0)) need not be syntactically zero, only equivalently
     assert equal_z(lhs, rhs)
@@ -87,7 +86,7 @@ def test_relation_instance_empty_support():
 def test_relation_ladder():
     # the instance X={j+1}, Y={j} rearranges to q_{j+1} = q_j + p_{j+1}
     for j in (-2, 0, 3):
-        lhs, rhs = relation_instance(WMZ, [j + 1], [j])
+        lhs, rhs = condition_elements(WMZ, [j + 1], [j])
         assert equal_z(parse(f"q({j + 1})", "Z"),
                        parse(f"q({j}) + p({j + 1})", "Z"))
         space = TruncSpace("Z", j - 2, j + 3, 3)

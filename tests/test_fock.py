@@ -349,19 +349,17 @@ def test_bottom_generator_evaluation_n():
 
 def test_level_image_frozen():
     x = parse("2 I + c(2) a(1) + 3 c(1) c(1) a(1) + a(0) c(3) + c(3) c(2)", "N")
-    z = scalars.LaurentZ({1: 1})
+    z = scalars.gaussian(Fraction(3, 5), Fraction(4, 5))
     # a(0) c(3) holds a letter below level 1 and is dropped; the level's
-    # letters become bottom letters and carry z^(#c(1) - #a(1))
+    # letters become bottom letters and carry z^(#c(1) - #a(1)), an inverse
+    # power being the conjugate
     got = level_image(x, 1, z)
     assert got.unit == 2
     assert list(got.terms.items()) == [
-        (((1, True), (0, False)), scalars.LaurentZ({-1: 1})),
-        (((0, True), (0, True), (0, False)), scalars.LaurentZ({1: 3})),
+        (((1, True), (0, False)), scalars.gaussian(Fraction(3, 5), Fraction(-4, 5))),
+        (((0, True), (0, True), (0, False)), scalars.gaussian(Fraction(9, 5), Fraction(12, 5))),
         (((2, True), (1, True)), 1)]
-    # a numeric phase multiplies natively: a float stays a float, and an
-    # inverse power is the conjugate
-    phase = scalars.gaussian(Fraction(3, 5), Fraction(4, 5))
-    assert level_image(x, 1, phase).terms[((1, True), (0, False))] == phase.conjugate()
+    # the phase multiplies natively: a float stays a float
     flipped = level_image(x, 1, -1.0).terms[((0, True), (0, True), (0, False))]
     assert type(flipped) is float and flipped == -3.0
     # at level 2 only c(3) c(2) survives, as c(1) c(0) with z^1
@@ -374,9 +372,10 @@ def test_level_image_frozen():
 
 def test_level_image_at_level_zero_is_the_gauge():
     # level 0 keeps every word and multiplies its coefficient by
-    # z^(#c(0) - #a(0)); a coefficient without a gauge factor is kept as it is
+    # z^(#c(0) - #a(0)); a coefficient without a gauge factor is kept as it is.
+    # z is not a root of unity, so each degree gives its own factor
     rng = Random(2424)
-    z = scalars.LaurentZ({1: 1})
+    z = scalars.gaussian(Fraction(3, 5), Fraction(4, 5))
     seen = set()
     for _ in range(300):
         x = Element("N", random_scalar(rng), {
@@ -389,7 +388,10 @@ def test_level_image_at_level_zero_is_the_gauge():
             deg = sum(1 if dag else -1 for i, dag in w if i == 0)
             seen.add(deg)
             if deg:
-                assert got.terms[w] == scalars.mul(c, scalars.LaurentZ({deg: 1}))
+                power = 1
+                for _ in range(abs(deg)):
+                    power = scalars.mul(power, z if deg > 0 else scalars.conj(z))
+                assert got.terms[w] == scalars.mul(c, power)
             else:
                 assert got.terms[w] is c
     assert seen >= {-2, -1, 0, 1, 2}
@@ -406,8 +408,9 @@ ACCUMULATE_TABLE = [
     (0.5, 0.5 + 0j, 1 + 0j),
     (1j, 1j, 0.5 + 1j),
     (scalars.gaussian(1, 1), scalars.gaussian(1, 1), scalars.gaussian(Fraction(3, 2), 1)),
-    (scalars.LaurentZ({1: 1}), scalars.LaurentZ({1: 1}),
-     scalars.LaurentZ({0: Fraction(1, 2), 1: 1})),
+    # a cancelled real part leaves a GaussianRational, not a demoted value
+    (scalars.gaussian(Fraction(-1, 2), 1), scalars.gaussian(Fraction(-1, 2), 1),
+     scalars.GaussianRational(Fraction(0), Fraction(1))),
 ]
 
 
@@ -492,7 +495,7 @@ def test_acting_tuples_are_the_tuples_the_last_letter_acts_on(inputs):
 
 
 COEFFS = [1, -1, Fraction(1, 2), Fraction(-3, 4), 0.25, 1j,
-          scalars.gaussian(Fraction(1, 2), Fraction(-1, 3)), scalars.LaurentZ({1: 1})]
+          scalars.gaussian(Fraction(1, 2), Fraction(-1, 3))]
 
 
 @st.composite
@@ -530,6 +533,6 @@ def test_evaluate_walks_only_the_columns_its_words_act_on(monkeypatch):
     space = TruncSpace("N", 1, 4, 3)
     assert evaluate(space, Element.zero("N")).is_zero() and walked == []
     # generator 1 below level 2 is the zero map
-    assert rep_matrix(RepSpec(2, "formal", space), 1).is_zero() and walked == []
+    assert rep_matrix(RepSpec(2, 1, space), 1).is_zero() and walked == []
     assert len(evaluate(space, Element.creator("N", 0)).entries) == 1
     assert walked == [()]

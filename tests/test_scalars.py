@@ -1,4 +1,4 @@
-"""Scalar tower: exact Gaussian rationals, inexact fallback, Laurent ring."""
+"""Scalar tower: exact Gaussian rationals and the inexact fallback."""
 
 import math
 from fractions import Fraction
@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from wmfock import scalars as sc
-from wmfock.scalars import GaussianRational, LaurentZ
+from wmfock.scalars import GaussianRational
 
 
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=9)
@@ -95,42 +95,6 @@ def test_abs2_is_self_times_conj(a):
     assert prod == sc.abs2(a)
 
 
-def test_laurent_conjugate_flips_degrees():
-    f = LaurentZ({1: 2, -1: Fraction(1, 3)})
-    g = f.conjugate()
-    assert g.coeffs == {-1: 2, 1: Fraction(1, 3)}
-    assert f.conjugate().conjugate() == f
-
-
-def test_laurent_arithmetic():
-    z = LaurentZ({1: 1})
-    zinv = z.conjugate()
-    assert z * zinv == LaurentZ({0: 1})
-    assert (z + zinv).substitute(1j) == pytest.approx(0)
-    assert z.substitute(1j) == 1j
-    assert LaurentZ({}).is_zero()
-    assert not z.is_zero()
-
-
-def test_laurent_results_do_not_depend_on_operand_order():
-    z = LaurentZ({1: 1})
-    left, right = sc.add(0.5, z), sc.add(z, 0.5)
-    assert left.coeffs == right.coeffs == {0: 0.5 + 0j, 1: 1}
-    assert type(left.coeffs[0]) is complex and type(right.coeffs[0]) is complex
-    one = (LaurentZ({0: Fraction(1)}) + 0).coeffs[0]
-    assert type(one) is int and one == 1
-
-
-def test_laurent_json_keys():
-    f = LaurentZ({2: Fraction(1, 3), 0: -1})
-    assert f.to_json() == {"z^0": -1, "z^2": "1/3"}
-
-
-def test_laurent_degree_support():
-    f = LaurentZ({3: 1, -2: 1, 0: 0})
-    assert f.degree_support() == [-2, 3]
-
-
 # --- the tower functions against reference formulas on (re, im) pairs -------
 #
 # Exact results must match the reference value and its normal-form type;
@@ -139,8 +103,6 @@ def test_laurent_degree_support():
 exacts = st.one_of(st.integers(-30, 30), rationals, gaussians)
 floats = st.integers(-40, 40).map(lambda n: n / 4)
 plain = st.one_of(exacts, floats)
-laurents = st.dictionaries(st.integers(-2, 2), plain, max_size=3).map(LaurentZ)
-values = st.one_of(plain, laurents)
 
 
 def parts(x):
@@ -188,56 +150,12 @@ def assert_scalar(got, pair, inexact):
     assert close(got, want) if inexact else got == want, (got, want)
 
 
-def laurent_ref(x):
-    """{power: (re, im, inexact)} of a LaurentZ or of a scalar at power 0."""
-    if isinstance(x, LaurentZ):
-        return {k: (*parts(v), not sc.is_exact(v)) for k, v in x.coeffs.items()}
-    re, im = parts(x)
-    return {0: (re, im, isinstance(x, float))} if re or im else {}
-
-
-def laurent_combine(fa, fb, op):
-    out = {}
-    if op is ref_mul:
-        for k1, (r1, i1, x1) in fa.items():
-            for k2, (r2, i2, x2) in fb.items():
-                r0, i0, x0 = out.get(k1 + k2, (0, 0, False))
-                r, i = ref_mul((r1, i1), (r2, i2))
-                out[k1 + k2] = (r0 + r, i0 + i, x0 or x1 or x2)
-    else:
-        for k in fa.keys() | fb.keys():
-            r1, i1, x1 = fa.get(k, (0, 0, False))
-            r2, i2, x2 = fb.get(k, (0, 0, False))
-            out[k] = (*op((r1, i1), (r2, i2)), x1 or x2)
-    return {k: v for k, v in out.items() if v[0] or v[1]}
-
-
-def assert_laurent(got, ref):
-    assert isinstance(got, LaurentZ)
-    assert set(got.coeffs) == set(ref)
-    for k, (re, im, inexact) in ref.items():
-        v = got.coeffs[k]
-        assert sc.is_exact(v) is not inexact
-        if inexact:
-            assert close(complex(v), complex(float(re), float(im)))
-        else:
-            assert_scalar(v, (re, im), False)
-
-
-@given(values, values)
+@given(plain, plain)
 def test_tower_binary_functions_match_reference(a, b):
-    laurent = isinstance(a, LaurentZ) or isinstance(b, LaurentZ)
     inexact = isinstance(a, float) or isinstance(b, float)
     for fn, ref in ((sc.add, ref_add), (sc.sub, ref_sub), (sc.mul, ref_mul)):
-        if laurent:
-            assert_laurent(fn(a, b), laurent_combine(laurent_ref(a), laurent_ref(b), ref))
-        else:
-            assert_scalar(fn(a, b), ref(parts(a), parts(b)), inexact)
-    if laurent:
-        same = not laurent_combine(laurent_ref(a), laurent_ref(b), ref_sub)
-    else:
-        same = parts(a) == parts(b)
-    assert sc.eq(a, b) is same
+        assert_scalar(fn(a, b), ref(parts(a), parts(b)), inexact)
+    assert sc.eq(a, b) is (parts(a) == parts(b))
 
 
 @given(plain, plain)
@@ -250,16 +168,8 @@ def test_tower_division_matches_reference(a, b):
     assert_scalar(sc.div(a, b), ref_div(parts(a), parts(b)), inexact)
 
 
-@given(values)
+@given(plain)
 def test_tower_unary_functions_match_reference(a):
-    if isinstance(a, LaurentZ):
-        ref = laurent_ref(a)
-        assert_laurent(sc.neg(a), {k: (-r, -i, x) for k, (r, i, x) in ref.items()})
-        assert_laurent(sc.conj(a), {-k: (r, -i, x) for k, (r, i, x) in ref.items()})
-        assert sc.is_zero(a) is (not ref)
-        want = sum(math.hypot(r, i) for r, i, _ in ref.values())
-        assert sc.abs_value(a) == pytest.approx(want)
-        return
     re, im = parts(a)
     # negation, and conjugation of an exact value, keep the input's type
     got = sc.neg(a)

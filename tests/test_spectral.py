@@ -282,14 +282,15 @@ def test_commutant_basis_byte_identical(mats, dim, digest):
 
 def test_rep_matrix_frozen():
     space = TruncSpace("N", 1, 3, 3)
-    spec = RepSpec(0, "formal", space)
-    s0 = rep_matrix(spec, 0)
+    # "formal" labels every unimodular phase at once, and no scalar stands
+    # for it
+    with pytest.raises(ValueError, match="a formal spec has no matrix"):
+        rep_matrix(RepSpec(0, "formal", space), 0)
+    s0 = rep_matrix(RepSpec(0, 1, space), 0)
     vac = space.position(())
-    assert list(s0.entries) == [(vac, vac)]
-    from wmfock.scalars import LaurentZ
-    assert s0.entries[(vac, vac)] == LaurentZ({1: 1})
+    assert s0.entries == {(vac, vac): 1}
 
-    spec2 = RepSpec(2, "formal", space)
+    spec2 = RepSpec(2, 1, space)
     assert rep_matrix(spec2, 1).is_zero()
     assert rep_matrix(spec2, 0).is_zero()
 
@@ -308,20 +309,19 @@ def test_rep_matrix_frozen():
 
 
 def _three_way_rep_matrix(spec, i):
-    """rep_matrix as first written: zero below the level, the phase (z when
-    formal) on the bottom letter c(0) at it, and c(i - level) above it."""
+    """rep_matrix as first written: zero below the level, the phase on the
+    bottom letter c(0) at it, and c(i - level) above it."""
     if i < spec.level:
         x = Element.zero(Case.N)
     elif i == spec.level:
-        z = scalars.LaurentZ({1: 1}) if spec.formal else spec.phase
-        x = Element.word(Case.N, ((0, True),), z)
+        x = Element.word(Case.N, ((0, True),), spec.phase)
     else:
         x = Element.creator(Case.N, i - spec.level)
     return evaluate(spec.space, x)
 
 
-@pytest.mark.parametrize("phase", ["formal", 1, scalars.gaussian(Fraction(3, 5), Fraction(4, 5)),
-                                   -1.0], ids=["formal", "1", "3/5+4/5i", "-1.0"])
+@pytest.mark.parametrize("phase", [1j, 1, scalars.gaussian(Fraction(3, 5), Fraction(4, 5)),
+                                   -1.0], ids=["1j", "1", "3/5+4/5i", "-1.0"])
 @pytest.mark.parametrize("level", [0, 1, 2])
 def test_rep_matrix_matches_the_three_way_reference(level, phase):
     # the level map gives the same entries, in the same order, of the same types
@@ -336,8 +336,8 @@ def test_rep_matrix_matches_the_three_way_reference(level, phase):
 
 def test_rep_matrix_normal_partial_isometry():
     space = TruncSpace("N", 1, 3, 3)
-    for level in (0, 1):
-        spec = RepSpec(level, "formal", space)
+    for level, phase in ((0, scalars.gaussian(Fraction(3, 5), Fraction(4, 5))), (1, -1)):
+        spec = RepSpec(level, phase, space)
         m = rep_matrix(spec, level)
         assert (m @ m.adjoint() - m.adjoint() @ m).is_zero()
 
@@ -383,17 +383,19 @@ def test_verify_rep_exactness():
 
 
 # negative controls: the level map as it is, gauged with the conjugate
-# phase, and ignoring the level (always level 0), with the instances each
-# one fails at level 1
+# phase, ignoring the level (always level 0), and ignoring the gauge
+# (always phase 1), with the instances each one fails at level 1.  The
+# relations are checked at phase 1, so only gauge-degree sees a gauge fault
 REP_FAULTS = [
     (level_image, []),
     (lambda x, level, z: level_image(x, level, z.conjugate()), ["gauge-degree[1]"]),
     (lambda x, level, z: level_image(x, 0, z), ["vacuum-projection"]),
+    (lambda x, level, z: level_image(x, level, 1), ["gauge-degree[1]"]),
 ]
 
 
 @pytest.mark.parametrize("level_map, failing", REP_FAULTS,
-                         ids=["as-is", "conjugate-gauge", "level-ignored"])
+                         ids=["as-is", "conjugate-gauge", "level-ignored", "gauge-ignored"])
 def test_rep_n_refutes_a_faulty_level_map(monkeypatch, level_map, failing):
     monkeypatch.setattr(spectral, "level_image", level_map)
     report = verify_rep(RepSpec(1, "formal", TruncSpace("N", 1, 4, 3)), 3)
