@@ -17,7 +17,6 @@ from .errors import (
     FinitenessError,
     FuelError,
     InternalConsistencyError,
-    NonConvergenceError,
     SizeLimitError,
     WindowError,
 )
@@ -39,8 +38,6 @@ from .fock import (
     build_generator,
     enumerate_basis,
     evaluate,
-    operator_norm,
-    operator_norm_interval,
     verify_identity,
 )
 from .exel_laca import (
@@ -53,7 +50,6 @@ from .exel_laca import (
 from .ergodic import (
     cesaro_average,
     check_cesaro_bound,
-    check_creator_sum_estimate,
     check_nonconvergence,
     fixed_point_check,
     omega_t,
@@ -86,9 +82,8 @@ __all__ = [
     "normalize_z", "normalize_n", "equal_z", "equal_n",
     "TruncSpace", "SparseMat", "enumerate_basis", "evaluate",
     "build_generator", "apply_element_to_vector", "verify_identity",
-    "operator_norm", "operator_norm_interval",
     "ELKind", "ELMatrixSpec", "a_coeff", "support_set", "verify_el_suite",
-    "cesaro_average", "check_cesaro_bound", "check_creator_sum_estimate",
+    "cesaro_average", "check_cesaro_bound",
     "check_nonconvergence", "omega_t", "fixed_point_check", "vacuum_certificate",
     "Polynomial", "recurrence_family", "position_element", "vacuum_moment",
     "moment_sequence", "verify_qn", "limit_residual", "commutant_dim",
@@ -96,5 +91,5 @@ __all__ = [
     "anti_suite", "relations_z_suite",
     "Instance", "Report",
     "FuelError", "InternalConsistencyError", "SizeLimitError",
-    "WindowError", "FinitenessError", "NonConvergenceError",
+    "WindowError", "FinitenessError",
 ]

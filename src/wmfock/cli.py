@@ -55,6 +55,7 @@ from .spectral import (
     build_direct_sum,
     check_decompose_size,
     check_rep_size,
+    check_rep_window,
     commutant_dim,
     decompose,
     limit_residual,
@@ -172,6 +173,8 @@ def _cmd_verify(args) -> Report:
     check_rep_size(space, len(levels), max_index)
     # every level is refused or admitted before the first is verified
     specs = [RepSpec(level, "formal", space) for level in levels]
+    for spec in specs:
+        check_rep_window(spec, max_index)
     for spec in specs:
         sub = verify_rep(spec, max_index)
         for inst in sub.instances:

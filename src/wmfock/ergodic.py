@@ -14,7 +14,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional
 
 from . import scalars
 from .errors import InternalConsistencyError, SizeLimitError
@@ -25,7 +25,6 @@ from .fock import (
     accumulate,
     acting_tuples,
     apply_element_to_vector,
-    creator_tuple,
     vector_norm_sq,
     word_image,
 )
@@ -38,7 +37,8 @@ NONCONVERGENCE_MAX_EVALS = 2_000_000
 
 
 def cesaro_average(x: Element, n: int) -> Element:
-    """(1/n) * sum of the first n index shifts of x, exact coefficients."""
+    """(1/n) * sum of the first n index shifts of x, exact coefficients.
+    Only the tests call it, as the reference route for check_cesaro_bound."""
     if n <= 0:
         raise ValueError("average length must be positive")
     # one terms dict summed in shift order: the values and the key order of
@@ -128,60 +128,6 @@ def check_cesaro_bound(space: TruncSpace, word_element: Element, n: int,
     bound = 1.0 / math.sqrt(n) + tol
     columns = math.comb(space.width + m, m) if m >= 0 else 0
     return CesaroCheck(n, bound, norm, columns, norm <= bound)
-
-
-@dataclass(frozen=True)
-class CreatorSumCheck:
-    count: int
-    total_sq: object
-    parts_sq: object
-    bound_sq: object
-    orthogonal_exact: bool
-    passed: bool
-
-
-def check_creator_sum_estimate(space: TruncSpace,
-                               vectors: Sequence[Dict[BasisTuple, scalars.Scalar]],
-                               indices: Sequence[int]) -> CreatorSumCheck:
-    """Exact Pythagoras identity for creator sums with distinct indices.
-
-    ||sum_j creator(i_j) eta_j||^2 equals the sum of the individual norms
-    squared, and is bounded by n * max_j ||eta_j||^2 when each creator is
-    applied inside the window.  ``orthogonal_exact`` is true only when both
-    squared norms are exact and equal; inexact ones are compared at 1e-12.
-    """
-    if len(vectors) != len(indices):
-        raise ValueError("one index per vector required")
-    if len(set(indices)) != len(indices):
-        raise ValueError("indices must be distinct")
-    levels = {len(t) for vec in vectors for t in vec}
-    if len(levels) > 1:
-        raise ValueError("vectors must live in a common particle level")
-    total: Dict[BasisTuple, scalars.Scalar] = {}
-    parts_sq = 0
-    max_in_sq = 0
-    for i, vec in zip(indices, vectors):
-        img: Dict[BasisTuple, scalars.Scalar] = {}
-        for t, coeff in vec.items():
-            out = creator_tuple(space, i, t)
-            if out is not None:
-                accumulate(img, out, coeff)
-        parts_sq = scalars.demote(parts_sq + vector_norm_sq(img))
-        in_sq = vector_norm_sq(vec)
-        if float(in_sq) > float(max_in_sq):
-            max_in_sq = in_sq
-        for t, coeff in img.items():
-            accumulate(total, t, coeff)
-    total_sq = vector_norm_sq(total)
-    bound_sq = scalars.demote(len(indices) * max_in_sq)
-    exact = scalars.is_exact(total_sq) and scalars.is_exact(parts_sq)
-    if exact:
-        orthogonal = total_sq == parts_sq
-    else:
-        orthogonal = abs(float(total_sq) - float(parts_sq)) <= 1e-12
-    within = float(total_sq) <= float(bound_sq) + 1e-12
-    return CreatorSumCheck(len(indices), total_sq, parts_sq, bound_sq,
-                           exact and orthogonal, orthogonal and within)
 
 
 @dataclass(frozen=True)

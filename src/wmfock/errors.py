@@ -19,7 +19,3 @@ class WindowError(ValueError):
 
 class FinitenessError(ValueError):
     """An Exel-Laca support set is infinite for the requested (X, Y)."""
-
-
-class NonConvergenceError(RuntimeError):
-    """Power iteration failed to stabilize within the iteration budget."""

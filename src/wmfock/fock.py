@@ -4,7 +4,8 @@ This module is the package's one tuple evaluator: every word acting on a
 basis tuple and every column of an element goes through word_image and
 column_action below; accumulate is the one add-and-drop-zeros step and
 agree the one entrywise comparison that tuple-keyed vectors and rewrite's
-normal forms share.
+normal forms share.  Matrices stay sparse, with entries from the scalar
+layer; the package's one dense float route is spectral.decompose.
 
 Basis vectors are index tuples (i1, ..., ik) with k <= trunc; the empty
 tuple is the vacuum.  Z and N cases use non-increasing tuples (i1 >= ... >=
@@ -48,10 +49,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Tuple
 
-import numpy as np
-
 from . import scalars
-from .errors import NonConvergenceError, SizeLimitError, WindowError
+from .errors import SizeLimitError, WindowError
 from .expr import Case, Element, Word
 
 BasisTuple = Tuple[int, ...]
@@ -418,12 +417,6 @@ class SparseMat:
     def max_abs_entry(self) -> float:
         return max((scalars.abs_value(v) for v in self.entries.values()), default=0.0)
 
-    def to_dense(self) -> np.ndarray:
-        out = np.zeros((self.n_rows, self.n_cols), dtype=complex)
-        for (r, c), v in self.entries.items():
-            out[r, c] = scalars.to_complex(v)
-        return out
-
     def __repr__(self):
         return f"SparseMat({self.n_rows}x{self.n_cols}, nnz={len(self.entries)})"
 
@@ -526,70 +519,3 @@ def verify_identity(space: TruncSpace, lhs: Element, rhs: Element,
                 worst = d
     return IdentityCheck(passed=passed, exact=exact, max_discrepancy=worst,
                          columns_checked=count, margin=margin, index_margin=index_margin)
-
-
-# --- norms ------------------------------------------------------------------------
-
-def _to_arrays(mat: SparseMat):
-    n = len(mat.entries)
-    rows = np.empty(n, dtype=np.int64)
-    cols = np.empty(n, dtype=np.int64)
-    any_complex = False
-    vals_list = []
-    for k, ((r, c), v) in enumerate(mat.entries.items()):
-        rows[k] = r
-        cols[k] = c
-        z = scalars.to_complex(v)
-        vals_list.append(z)
-        if z.imag != 0.0:
-            any_complex = True
-    vals = np.array(vals_list, dtype=complex)
-    if not any_complex:
-        vals = vals.real.astype(float)
-    return rows, cols, vals, any_complex
-
-
-def column_norm_lower(mat: SparseMat) -> float:
-    """Max column 2-norm: a certified lower bound for the operator norm."""
-    acc: Dict[int, scalars.Scalar] = {}
-    for (r, c), v in mat.entries.items():
-        acc[c] = scalars.add(acc.get(c, 0), scalars.abs2(v))
-    if not acc:
-        return 0.0
-    best = max(acc.values(), key=lambda s: float(s))
-    return math.sqrt(float(best))
-
-
-def operator_norm(mat: SparseMat, tol: float = 1e-9, max_iter: int = 10000,
-                  seed: int = 12345) -> float:
-    """Largest singular value via power iteration on A*A (fixed seed)."""
-    if mat.is_zero():
-        return 0.0
-    rows, cols, vals, cplx = _to_arrays(mat)
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(mat.n_cols)
-    if cplx:
-        v = v + 1j * rng.standard_normal(mat.n_cols)
-    v = v / np.linalg.norm(v)
-    cvals = np.conj(vals)
-    prev = -1.0
-    for _ in range(max_iter):
-        w = np.zeros(mat.n_rows, dtype=vals.dtype)
-        np.add.at(w, rows, vals * v[cols])
-        est = float(np.real(np.vdot(w, w)))
-        u = np.zeros(mat.n_cols, dtype=vals.dtype)
-        np.add.at(u, cols, cvals * w[rows])
-        nu = float(np.linalg.norm(u))
-        if nu == 0.0:
-            return math.sqrt(max(est, 0.0))
-        v = u / nu
-        if abs(est - prev) <= tol * max(1.0, abs(est)):
-            return math.sqrt(max(est, 0.0))
-        prev = est
-    raise NonConvergenceError(f"power iteration did not settle in {max_iter} steps")
-
-
-def operator_norm_interval(mat: SparseMat, tol: float = 1e-9,
-                           max_iter: int = 10000, seed: int = 12345) -> Tuple[float, float]:
-    """(certified column lower bound, power-iteration estimate)."""
-    return column_norm_lower(mat), operator_norm(mat, tol=tol, max_iter=max_iter, seed=seed)

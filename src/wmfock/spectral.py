@@ -367,8 +367,7 @@ def verify_rep(spec: RepSpec, max_index: int) -> Report:
     """
     space = spec.space
     n = spec.level
-    if max_index > n and max_index - n > space.hi:
-        raise WindowError(f"generator {max_index} needs window top {max_index - n}")
+    check_rep_window(spec, max_index)
     unit_phase = RepSpec(n, 1, space)
     extra = n + 1  # generator used by the vacuum-projection identity
     gens = {i: rep_matrix(unit_phase, i) for i in (*range(max_index + 1), extra)}
@@ -420,6 +419,12 @@ def verify_rep(spec: RepSpec, max_index: int) -> Report:
         report.add(Instance(f"gauge-degree[{i}]", bad == 0,
                             EXACT_ZERO if bad == 0 else float(bad)))
     return report
+
+
+def check_rep_window(spec: RepSpec, max_index: int) -> None:
+    """WindowError when generator max_index, shifted down by the level, leaves the window."""
+    if max_index > spec.level and max_index - spec.level > spec.space.hi:
+        raise WindowError(f"generator {max_index} needs window top {max_index - spec.level}")
 
 
 def check_rep_size(space: TruncSpace, levels: int, max_index: int) -> None:
@@ -579,7 +584,10 @@ def decompose(gens: Sequence[SparseMat], normal_tol: float = 1e-9,
     for g in gens:
         if g.n_rows != n or g.n_cols != n:
             raise ValueError("generators must share one square shape")
-    dense = [g.to_dense() for g in gens]
+    dense = [np.zeros((n, n), dtype=complex) for _ in gens]
+    for mat, g in zip(dense, gens):
+        for (r, c), v in g.entries.items():
+            mat[r, c] = scalars.to_complex(v)
     components: List[RepComponent] = []
     vacua: List[np.ndarray] = []
     per_level: List[Dict] = []

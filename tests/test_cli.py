@@ -254,6 +254,18 @@ def test_rep_n_refuses_a_bad_level_before_verifying_any(monkeypatch, capsys):
     assert err.count("\n") == 1 and err.startswith("error:") and "level must be nonnegative" in err
 
 
+def test_rep_n_refuses_a_high_max_index_before_verifying_any(monkeypatch, capsys):
+    def no_verify(*args):
+        raise AssertionError("a level was verified before every level was checked")
+    monkeypatch.setattr(cli, "verify_rep", no_verify)
+    # level 2 reaches generator 61 inside the window 1..60; level 0 does not
+    code = cli.main(["verify", "--suite", "rep-n", "--window", "1..60", "--particles", "2",
+                     "--levels", "2,0", "--max-index", "61"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("\n") == 1 and err.startswith("error:") and "needs window top 61" in err
+
+
 def test_reports_deterministic():
     mask = lambda b: RUNTIME.sub(b'"runtimeMillis": X', b)
     for args in (("rewrite", "--case", "z", "--expr", "q(2) p(1)"),

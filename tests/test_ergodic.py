@@ -14,8 +14,7 @@ import oracles
 from conftest import random_element_z
 from wmfock import ergodic
 from wmfock.errors import InternalConsistencyError, SizeLimitError, WindowError
-from wmfock.ergodic import (cesaro_average, check_cesaro_bound,
-                            check_creator_sum_estimate, check_nonconvergence,
+from wmfock.ergodic import (cesaro_average, check_cesaro_bound, check_nonconvergence,
                             fixed_point_check, omega_t, vacuum_certificate)
 from wmfock.expr import Case, Element, parse, word_surplus
 from wmfock.fock import (TruncSpace, apply_element_to_vector, evaluate,
@@ -241,37 +240,6 @@ def test_cesaro_bound_rejects_non_lambda():
         check_cesaro_bound(space, parse("c(0) + c(1)", "Z"), 4)  # not a word
 
 
-def test_creator_sum_frozen():
-    space = TruncSpace("N", 1, 4, 3)
-    one = {(1,): 1}
-    chk = check_creator_sum_estimate(space, [one], [1])
-    assert chk.passed and chk.total_sq == 1 and chk.bound_sq == 1
-
-    chk = check_creator_sum_estimate(space, [{(1,): 1}] * 3, [1, 2, 3])
-    assert chk.passed
-    assert chk.total_sq == 3 and chk.bound_sq == 3
-    assert chk.orthogonal_exact
-
-
-def test_creator_sum_random_exact_pythagoras():
-    rng = Random(7)
-    space = TruncSpace("N", 1, 4, 3)
-    vectors = []
-    for _ in range(4):
-        vectors.append({(k,): Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-                        for k in range(1, 5)})
-    chk = check_creator_sum_estimate(space, vectors, [1, 2, 3, 4])
-    assert chk.passed and chk.orthogonal_exact
-    assert chk.total_sq == chk.parts_sq
-    assert isinstance(chk.total_sq, (int, Fraction))
-
-
-def test_creator_sum_level_mismatch():
-    space = TruncSpace("N", 1, 4, 3)
-    with pytest.raises(ValueError):
-        check_creator_sum_estimate(space, [{(1,): 1}, {(1, 1): 1}], [1, 2])
-
-
 def test_nonconvergence_frozen():
     space = TruncSpace("Z", -5, 1, 2)
     chk = check_nonconvergence(space, 4)
@@ -345,12 +313,6 @@ def test_certificate_frozen():
 def test_float_coefficients_give_real_norms():
     # squared norms of inexact vectors are real floats, so float() accepts them
     assert vacuum_certificate(parse("0.5*a(1)c(1)", "Z")) == 0.5
-    space = TruncSpace("N", 1, 4, 3)
-    chk = check_creator_sum_estimate(space, [{(1,): 0.5, (2,): 1}, {(1,): 0.25j}], [2, 3])
-    assert chk.passed
-    assert (chk.total_sq, chk.parts_sq, chk.bound_sq) == (1.3125, 1.3125, 2.5)
-    # float norms are compared at 1e-12, so orthogonality is not exact
-    assert not chk.orthogonal_exact
 
 
 def test_certificate_rejects_unital():

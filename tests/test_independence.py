@@ -28,3 +28,13 @@ def test_library_never_imports_oracles():
                  for name in _imported_names(ast.parse(path.read_text(), str(path)))
                  if "oracles" in name.split(".")]
     assert not offenders
+
+
+def test_only_spectral_imports_numpy():
+    # the exact layers carry no float-library code; decompose is the one numpy route
+    sources = sorted(SRC.glob("*.py"))
+    assert sources
+    importers = {path.name for path in sources
+                 if any(name.split(".")[0] == "numpy"
+                        for name in _imported_names(ast.parse(path.read_text(), str(path))))}
+    assert importers == {"spectral.py"}
