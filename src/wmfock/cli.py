@@ -51,7 +51,6 @@ from .rewrite import normalize_n, normalize_z
 from .spectral import (
     COMMUTANT_MAX_DIM,
     LIMIT_MAX_WIDTH,
-    RepSpec,
     build_direct_sum,
     check_decompose_size,
     check_rep_size,
@@ -172,13 +171,11 @@ def _cmd_verify(args) -> Report:
     levels = _parse_ints("--levels", args.levels)
     check_rep_size(space, len(levels), max_index)
     # every level is refused or admitted before the first is verified
-    specs = [RepSpec(level, "formal", space) for level in levels]
-    for spec in specs:
-        check_rep_window(spec, max_index)
-    for spec in specs:
-        sub = verify_rep(spec, max_index)
+    check_rep_window(space, levels, max_index)
+    for level in levels:
+        sub = verify_rep(space, level, max_index)
         for inst in sub.instances:
-            report.add(Instance(f"level{spec.level}:{inst.id}", inst.passed,
+            report.add(Instance(f"level{level}:{inst.id}", inst.passed,
                                 inst.discrepancy, inst.details))
     return report
 

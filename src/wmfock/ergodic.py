@@ -58,18 +58,17 @@ class CesaroCheck:
 
     ``norm_lower`` is the exact operator norm of the average on the interior
     columns (a lower bound for the untruncated norm), rounded to a float
-    only by its final square root; ``columns`` counts those columns.
+    only by its final square root; ``columns`` counts those columns, and
+    ``bound`` is 1/sqrt(n) + 1e-9.
     """
 
-    n: int
     bound: float
     norm_lower: float
     columns: int
     passed: bool
 
 
-def check_cesaro_bound(space: TruncSpace, word_element: Element, n: int,
-                       tol: float = 1e-9) -> CesaroCheck:
+def check_cesaro_bound(space: TruncSpace, word_element: Element, n: int) -> CesaroCheck:
     """Certify the 1/sqrt(n) contraction of a Cesaro average of one word.
 
     The average is evaluated on interior columns only, where truncation is
@@ -125,16 +124,14 @@ def check_cesaro_bound(space: TruncSpace, word_element: Element, n: int,
             f"Cesaro average has {most_in_col} entries in one column and {most_in_row} "
             "in one row; its columns are neither row- nor column-disjoint")
     norm = math.sqrt(float(scalars.abs2(entry) * max(most_in_col, most_in_row)))
-    bound = 1.0 / math.sqrt(n) + tol
+    bound = 1.0 / math.sqrt(n) + 1e-9
     columns = math.comb(space.width + m, m) if m >= 0 else 0
-    return CesaroCheck(n, bound, norm, columns, norm <= bound)
+    return CesaroCheck(bound, norm, columns, norm <= bound)
 
 
 @dataclass(frozen=True)
 class NonconvergenceCheck:
-    n: int
     diagonal: bool
-    vacuum_entry_zero: bool
     witness_entry: object
     norm_sq: object
     strong_residual: object
@@ -194,7 +191,7 @@ def check_nonconvergence(space: TruncSpace, n: int) -> NonconvergenceCheck:
     norm_ok = max_sq == 1
     passed = diag_ok and witness_ok and vac_ok and norm_ok
     strong = scalars.neg(zero_entry) if zero_entry is not None else None
-    return NonconvergenceCheck(n, diag_ok, vac_ok, witness, max_sq, strong, passed)
+    return NonconvergenceCheck(diag_ok, witness, max_sq, strong, passed)
 
 
 def omega_t(x: Element, t) -> scalars.Scalar:

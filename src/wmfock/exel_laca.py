@@ -28,7 +28,7 @@ from .errors import FinitenessError, SizeLimitError
 from .expr import Case, Element
 from .fock import TruncSpace
 from .reports import Instance, Report
-from .suites import run_identity
+from .suites import check_particles, run_identity
 
 
 class ELKind(Enum):
@@ -142,10 +142,9 @@ def verify_el_suite(
     universe: Sequence[int],
     max_size: int = 2,
     pairs: Optional[Sequence[Tuple[Sequence[int], Sequence[int]]]] = None,
-    remark: bool = True,
-    tol: float = 1e-12,
 ) -> Report:
-    """Exhaustive check of conditions (1)-(4) over a finite index universe.
+    """Exhaustive check of conditions (1)-(4) and the ladder over a finite
+    index universe.
 
     Column tuples are restricted to the universe's margin inside the window,
     which loses nothing because every letter index lives in the universe: an
@@ -156,7 +155,8 @@ def verify_el_suite(
     infinite are asserted to raise FinitenessError instead.  More than
     EL_MAX_PAIRS such pairs raise SizeLimitError before any work, and so do
     more than EL_MAX_COLUMNS identities times basis tuples of the universe's
-    window.
+    window.  Every identity has creator surplus at most 1 and q-on-p[i,i]
+    has 1, so a space with no particle raises ValueError, after those.
     """
     case = spec.case
     universe = sorted(universe)
@@ -185,6 +185,7 @@ def verify_el_suite(
         raise SizeLimitError(f"exel-laca suite: {identities:,} identities over {u} indices "
                              f"with {space.trunc} particles could check more than "
                              f"{EL_MAX_COLUMNS:,} columns")
+    check_particles("exel-laca", space, 1)
     s_margin = max(0, min(universe[0] - space.lo, space.hi - universe[-1]))
     report = Report(
         suite="exel-laca",
@@ -197,7 +198,7 @@ def verify_el_suite(
         },
     )
 
-    run = partial(run_identity, report, space, s_margin, tol=tol)
+    run = partial(run_identity, report, space, s_margin)
     for i in universe:
         for j in universe:
             if i < j:
@@ -220,10 +221,9 @@ def verify_el_suite(
             continue
         run(iid, lhs, rhs)
 
-    if remark:
-        low = universe[0] if spec.kind is ELKind.WM_Z else max(universe[0], 0)
-        for j in range(low, universe[-1]):
-            run(f"ladder[q({j + 1})=q({j})+p({j + 1})]",
-                _q(case, j + 1), _q(case, j) + _p(case, j + 1))
+    low = universe[0] if spec.kind is ELKind.WM_Z else max(universe[0], 0)
+    for j in range(low, universe[-1]):
+        run(f"ladder[q({j + 1})=q({j})+p({j + 1})]",
+            _q(case, j + 1), _q(case, j) + _p(case, j + 1))
 
     return report

@@ -293,10 +293,6 @@ def element_to_str(x: Element) -> str:
     return "".join(out)
 
 
-def to_string(x: Element) -> str:
-    return element_to_str(x)
-
-
 # --- parser ----------------------------------------------------------------
 
 class ParseError(ValueError):

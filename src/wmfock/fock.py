@@ -464,8 +464,6 @@ class IdentityCheck:
     exact: bool
     max_discrepancy: float
     columns_checked: int
-    margin: int
-    index_margin: int
 
     @property
     def discrepancy_json(self):
@@ -475,16 +473,15 @@ class IdentityCheck:
 
 
 def verify_identity(space: TruncSpace, lhs: Element, rhs: Element,
-                    margin: Optional[int] = None, index_margin: int = 0,
-                    tol: float = scalars.DEFAULT_TOL) -> IdentityCheck:
+                    margin: Optional[int] = None, index_margin: int = 0) -> IdentityCheck:
     """Compare lhs and rhs column by column on interior tuples.
 
     Columns come from column_action.  When every unit and coefficient on
     both sides is exact, equal columns are skipped with a single ==.  The
     entries of other columns are compared one by one: exact scalars compare
     exactly, and once a float or complex value is involved the comparison
-    is |diff| <= tol.  Word images are recomputed for every column; no memo
-    is kept.
+    is |diff| <= scalars.DEFAULT_TOL (1e-12).  Word images are recomputed
+    for every column; no memo is kept.
 
     The margin defaults to the max creator surplus of the words on either
     side, which is the least margin for which truncated and untruncated
@@ -512,10 +509,10 @@ def verify_identity(space: TruncSpace, lhs: Element, rhs: Element,
             b = vb.get(key, 0)
             if not (scalars.is_exact(a) and scalars.is_exact(b)):
                 exact = False
-            if not scalars.eq(a, b, tol):
+            if not scalars.eq(a, b):
                 passed = False
             d = abs(scalars.to_complex(a) - scalars.to_complex(b))
             if d > worst:
                 worst = d
     return IdentityCheck(passed=passed, exact=exact, max_discrepancy=worst,
-                         columns_checked=count, margin=margin, index_margin=index_margin)
+                         columns_checked=count)

@@ -42,6 +42,7 @@ from .fock import (
 )
 from .exactla import nullspace
 from .reports import EXACT_ZERO, Instance, Report
+from .suites import check_particles
 
 # moment_sequence refuses, before any work, a sweep whose order times the
 # larger of the order and the number of basis tuples it can reach exceeds
@@ -175,9 +176,9 @@ def _refuse_moments(max_order: int) -> None:
 
 # --- the polynomial family on the truncated space ---------------------------
 
-def verify_qn(space: TruncSpace, i: int, n_max: int,
-              include_product: bool = True) -> Report:
-    """q_n(position at i) sends the vacuum to the n-fold letter exactly."""
+def verify_qn(space: TruncSpace, i: int, n_max: int) -> Report:
+    """q_n(position at i) sends the vacuum to the n-fold letter exactly, and
+    q_2(x(2)) q_1(x(1)) sends it to (2, 2, 1) when index 2 and 3 particles fit."""
     if n_max > space.trunc:
         raise ValueError("particle cap too small for the requested degree")
     if not space.contains_index(i):
@@ -191,7 +192,7 @@ def verify_qn(space: TruncSpace, i: int, n_max: int,
     for n, poly in enumerate(fam):
         got = apply_element_to_vector(space, poly_element(poly, xel), {(): 1})
         report.add(_difference(f"qn[{n}]", got, {(i,) * n: 1}))
-    if include_product and space.contains_index(2) and space.trunc >= 3:
+    if space.contains_index(2) and space.trunc >= 3:
         fam2 = recurrence_family(2)
         prod = poly_element(fam2[2], position_element(space.case, 2)) \
             * poly_element(fam2[1], position_element(space.case, 1))
@@ -311,7 +312,7 @@ class RepSpec:
     """A level-n representation datum on a natural-index truncated space."""
 
     level: int
-    phase: object  # "formal" or a unimodular scalar
+    phase: object  # a unimodular scalar
     space: TruncSpace
 
     def __post_init__(self):
@@ -319,35 +320,27 @@ class RepSpec:
             raise ValueError("level must be nonnegative")
         if self.space.case is not Case.N:
             raise ValueError("representation spaces use the natural-index case")
-        if not self.formal and not _unimodular(self.phase)[0]:
+        if not _unimodular(self.phase):
             raise ValueError("phase must be unimodular")
 
-    @property
-    def formal(self) -> bool:
-        return isinstance(self.phase, str) and self.phase == "formal"
 
-
-def _unimodular(phase) -> Tuple[bool, object]:
-    """Whether |phase| = 1 (within 1e-12 if inexact), and its discrepancy."""
+def _unimodular(phase) -> bool:
+    """Whether |phase| = 1, within 1e-12 if inexact."""
     m = scalars.abs2(phase)
     if scalars.is_exact(m):  # kept exact: float() of a huge phase overflows
-        return m == 1, EXACT_ZERO if m == 1 else abs(m - 1)
-    defect = abs(float(m) - 1.0)
-    return defect <= 1e-12, defect
+        return m == 1
+    return abs(float(m) - 1.0) <= 1e-12
 
 
 def rep_matrix(spec: RepSpec, i: int) -> SparseMat:
     """Matrix of the i-th generator: the evaluated fock.level_image of c(i)
-    at the spec's level, with the phase as the gauge.  A formal spec has no
-    matrix, since no scalar stands for every phase: ValueError."""
+    at the spec's level, with the phase as the gauge."""
     if i < 0:
         raise ValueError("generator indices are nonnegative")
-    if spec.formal:
-        raise ValueError("a formal spec has no matrix: give a unimodular phase")
     return evaluate(spec.space, level_image(Element.creator(Case.N, i), spec.level, spec.phase))
 
 
-def verify_rep(spec: RepSpec, max_index: int) -> Report:
+def verify_rep(space: TruncSpace, level: int, max_index: int) -> Report:
     """Defining relations, partial isometry, vacuum-projection identity and
     the gauge degree pattern, all exact, at every unimodular phase at once.
 
@@ -361,22 +354,18 @@ def verify_rep(spec: RepSpec, max_index: int) -> Report:
     vacuum-projection 0, partial-isometry 1) and is checked on generators
     built at phase 1.  gauge-degree[i] checks the degree pattern itself, at
     the phase z0 = (3+4i)/5: every entry (r, c) of generator i must equal
-    z0^(1 - |r| + |c|).  A numeric phase is covered by these checks, so
-    only its modulus is checked besides; "formal" names the check for
-    every unimodular phase.
+    z0^(1 - |r| + |c|).  So no phase is taken: every unimodular one is
+    covered.  check_rep_window's refusals come before any matrix is built.
     """
-    space = spec.space
-    n = spec.level
-    check_rep_window(spec, max_index)
-    unit_phase = RepSpec(n, 1, space)
-    extra = n + 1  # generator used by the vacuum-projection identity
+    check_rep_window(space, (level,), max_index)
+    unit_phase = RepSpec(level, 1, space)
+    extra = level + 1  # generator used by the vacuum-projection identity
     gens = {i: rep_matrix(unit_phase, i) for i in (*range(max_index + 1), extra)}
     dim = space.dimension  # rep_matrix listed the basis
     cols = interior_columns(space, 1, 0)
     levels = [len(t) for t in space.basis]
     report = Report(suite="rep-n",
-                    config={"level": n,
-                            "phase": "formal" if spec.formal else scalars.to_text(spec.phase),
+                    config={"level": level,
                             "window": [space.lo, space.hi],
                             "particles": space.trunc,
                             "maxIndex": max_index})
@@ -385,9 +374,6 @@ def verify_rep(spec: RepSpec, max_index: int) -> Report:
         ok = diff.is_zero()
         report.add(Instance(iid, ok, EXACT_ZERO if ok else diff.max_abs_entry(),
                             details or {}))
-
-    if not spec.formal:
-        report.add(Instance("phase-unimodular", *_unimodular(spec.phase)))
 
     adj = {i: g.adjoint() for i, g in gens.items()}
     for i in range(max_index + 1):
@@ -408,7 +394,7 @@ def verify_rep(spec: RepSpec, max_index: int) -> Report:
     exact_instance("vacuum-projection", (pom - pom_want).submatrix(cols=cols),
                    {"generator": extra})
     z0 = scalars.gaussian(Fraction(3, 5), Fraction(4, 5))  # not a root of unity
-    gauged, powers = RepSpec(n, z0, space), {}  # powers: z0^k by k
+    gauged, powers = RepSpec(level, z0, space), {}  # powers: z0^k by k
     for i in range(max_index + 1):
         bad = 0
         for (r, c), v in rep_matrix(gauged, i).entries.items():
@@ -421,10 +407,18 @@ def verify_rep(spec: RepSpec, max_index: int) -> Report:
     return report
 
 
-def check_rep_window(spec: RepSpec, max_index: int) -> None:
-    """WindowError when generator max_index, shifted down by the level, leaves the window."""
-    if max_index > spec.level and max_index - spec.level > spec.space.hi:
-        raise WindowError(f"generator {max_index} needs window top {max_index - spec.level}")
+def check_rep_window(space: TruncSpace, levels: Sequence[int], max_index: int) -> None:
+    """Refuse verify_rep at each of levels up to max_index: ValueError for a
+    negative level (every level is checked first), then WindowError when
+    generator max_index, shifted down by a level, leaves the window, then
+    ValueError for a space with no particle, where sum-relation,
+    partial-isometry and vacuum-projection would have no interior column."""
+    if any(level < 0 for level in levels):
+        raise ValueError("level must be nonnegative")
+    for level in levels:
+        if max_index > level and max_index - level > space.hi:
+            raise WindowError(f"generator {max_index} needs window top {max_index - level}")
+    check_particles("rep-n", space, 1)
 
 
 def check_rep_size(space: TruncSpace, levels: int, max_index: int) -> None:
@@ -519,21 +513,21 @@ def check_decompose_size(d: int, particles: int,
     return dim
 
 
-def _nullspace_dense(a: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+def _nullspace_dense(a: np.ndarray) -> np.ndarray:
     """Orthonormal basis (columns) of the nullspace of a."""
     if a.shape[0] == 0:
         return np.eye(a.shape[1], dtype=complex)
     _, s, vt = np.linalg.svd(a, full_matrices=False)
-    rank = int(np.sum(s > tol * max(1.0, s[0])))
+    rank = int(np.sum(s > 1e-9 * max(1.0, s[0])))
     return vt[rank:].conj().T
 
 
-def _orth_columns(a: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+def _orth_columns(a: np.ndarray) -> np.ndarray:
     """Orthonormal basis (columns) of the column space of a."""
     if a.size == 0:
         return np.zeros((a.shape[0], 0), dtype=complex)
     u, s, _ = np.linalg.svd(a, full_matrices=False)
-    rank = int(np.sum(s > tol * max(1.0, s[0])))
+    rank = int(np.sum(s > 1e-9 * max(1.0, s[0])))
     return u[:, :rank]
 
 
@@ -563,20 +557,20 @@ def _reachable_dim(dense: Sequence[np.ndarray], vacua: List[np.ndarray]) -> int:
     return span.shape[1]
 
 
-def decompose(gens: Sequence[SparseMat], normal_tol: float = 1e-9,
-              cluster_tol: float = 1e-6) -> DecomposeResult:
+def decompose(gens: Sequence[SparseMat]) -> DecomposeResult:
     """Recover (level, phase, multiplicity) data from direct-sum generators.
 
     For each candidate level k the joint kernel of the other generators'
     adjoints is computed (a thin SVD of their stacked adjoints); the k-th
     generator restricted there is the phase on the block vacua plus a
     nilpotent ghost from other levels, which the iterated-range projection
-    removes.  The cleaned restriction must be normal within normal_tol; its
-    eigenvalue clusters give the phases and multiplicities.  The span
-    reachable from the recovered vacua under the generators and their
-    adjoints is grown only from the directions each round adds, and what
-    lies outside it counts toward residual_dim; details["reachableDim"] is
-    its dimension, and nothing else depends on that loop.
+    removes.  The cleaned restriction must be normal within 1e-9; its
+    eigenvalues above 1e-6 in modulus, clustered within 1e-6 of each
+    cluster's first, give the phases and multiplicities.  The span reachable
+    from the recovered vacua under the generators and their adjoints is
+    grown only from the directions each round adds, and what lies outside
+    it counts toward residual_dim; details["reachableDim"] is its
+    dimension, and nothing else depends on that loop.
     """
     if not gens:
         raise ValueError("need at least one generator")
@@ -605,16 +599,16 @@ def decompose(gens: Sequence[SparseMat], normal_tol: float = 1e-9,
             continue
         core = clean.conj().T @ restricted @ clean
         defect = np.linalg.norm(core @ core.conj().T - core.conj().T @ core)
-        if defect > normal_tol:
+        if defect > 1e-9:
             raise ValueError(f"restriction at level {k} is not normal (defect {defect:.3e})")
         vals, vecs = np.linalg.eig(core)
         order = np.argsort(-np.abs(vals))
         clusters: List[List[int]] = []
         for idx in order:
-            if abs(vals[idx]) <= cluster_tol:
+            if abs(vals[idx]) <= 1e-6:
                 continue
             for cl in clusters:
-                if abs(vals[cl[0]] - vals[idx]) <= cluster_tol:
+                if abs(vals[cl[0]] - vals[idx]) <= 1e-6:
                     cl.append(idx)
                     break
             else:

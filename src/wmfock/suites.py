@@ -35,21 +35,31 @@ def _w(case: Case, *letters) -> Element:
     return Element.word(case, tuple(letters))
 
 
+def check_particles(suite: str, space: TruncSpace, least: int) -> None:
+    """ValueError when space has fewer than least particles, the largest
+    creator surplus among suite's identities: below it some identity has no
+    interior column, and would pass unchecked.  With least particles the
+    vacuum is interior to every identity."""
+    if space.trunc < least:
+        raise ValueError(f"{suite} suite: the particle count must be at least {least}, so that "
+                         f"every identity has an interior column; got {space.trunc}")
+
+
 def run_identity(report: Report, space: TruncSpace, index_margin: int,
-                 iid: str, lhs: Element, rhs: Element, tol: float) -> None:
+                 iid: str, lhs: Element, rhs: Element) -> None:
     """Check lhs = rhs on the interior columns of space; add the verdict to report."""
-    chk = verify_identity(space, lhs, rhs, index_margin=index_margin, tol=tol)
+    chk = verify_identity(space, lhs, rhs, index_margin=index_margin)
     report.add(Instance(iid, chk.passed, chk.discrepancy_json,
                         {"columns": chk.columns_checked}))
 
 
-def relations_z_suite(space: TruncSpace, depth: int = 2,
-                      tol: float = 1e-12) -> Report:
+def relations_z_suite(space: TruncSpace, depth: int = 2) -> Report:
     """Defining relations of the integer case over the window's interior.
 
     depth controls how far the instantiated letter indices stay away from
     the window edges; the identities themselves are checked on interior
-    columns with the surplus-derived particle margin.
+    columns with the surplus-derived particle margin.  absorb[i,i] has
+    creator surplus 2, so fewer than 2 particles raise ValueError.
     """
     if space.case is not Case.Z:
         raise ValueError("this suite is for the integer case")
@@ -57,12 +67,13 @@ def relations_z_suite(space: TruncSpace, depth: int = 2,
     if lo > hi:
         raise ValueError("window too small for the requested depth")
     _check_size("relations-z", space, depth)
+    check_particles("relations-z", space, 2)
     Z = Case.Z
     report = Report(suite="relations-z",
                     config={"window": [space.lo, space.hi],
                             "particles": space.trunc,
                             "letters": [lo, hi]})
-    run = partial(run_identity, report, space, depth, tol=tol)
+    run = partial(run_identity, report, space, depth)
     idx = range(lo, hi + 1)
     for i in idx:
         for j in idx:
@@ -79,21 +90,24 @@ def relations_z_suite(space: TruncSpace, depth: int = 2,
     return report
 
 
-def anti_suite(space: TruncSpace, tol: float = 1e-12) -> Report:
+def anti_suite(space: TruncSpace) -> Report:
     """Mirrored relations of the anti-monotone case.
 
     The creator at index 1 is a co-isometry: its annihilator-creator product
     is the identity on interior columns.  Range orthogonality and the
-    partial-isometry law hold for every index.
+    partial-isometry law hold for every index.  creator-order has creator
+    surplus 2 and needs two indices, so fewer than 2 particles raise
+    ValueError on a wider window than one index, and 0 particles on that.
     """
     if space.case is not Case.ANTI:
         raise ValueError("this suite is for the anti-monotone case")
     _check_size("anti", space, 0)
+    check_particles("anti", space, 2 if space.width > 1 else 1)
     A = Case.ANTI
     report = Report(suite="anti",
                     config={"window": [space.lo, space.hi],
                             "particles": space.trunc})
-    run = partial(run_identity, report, space, 0, tol=tol)
+    run = partial(run_identity, report, space, 0)
     run("co-isometry[1]", _w(A, (1, False), (1, True)), Element.one(A))
     idx = range(space.lo, space.hi + 1)
     for i in idx:

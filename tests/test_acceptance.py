@@ -24,8 +24,8 @@ from wmfock.expr import Case, Element, parse
 from wmfock.fock import (TruncSpace, apply_element_to_vector, column_action,
                          interior_tuples, verify_identity, word_image)
 from wmfock.rewrite import classify_word, normalize_z
-from wmfock.spectral import (RepSpec, build_direct_sum, commutant_dim,
-                             decompose, limit_residual, poly_element,
+from wmfock.spectral import (build_direct_sum, commutant_dim, decompose,
+                             limit_residual, poly_element,
                              position_element, recurrence_family,
                              vacuum_moment, verify_qn, verify_rep)
 
@@ -248,7 +248,7 @@ def test_criterion_09_vacuum_certificate():
 def test_criterion_10_n_case_representations():
     space = TruncSpace("N", 1, 5, 4)
     for level in (0, 1, 2):
-        report = verify_rep(RepSpec(level, "formal", space), 5)
+        report = verify_rep(space, level, 5)
         assert report.passed
         assert any(i.id.startswith("vacuum-projection")
                    for i in report.instances)

@@ -266,6 +266,33 @@ def test_rep_n_refuses_a_high_max_index_before_verifying_any(monkeypatch, capsys
     assert err.count("\n") == 1 and err.startswith("error:") and "needs window top 61" in err
 
 
+def test_rep_n_refuses_a_bad_level_before_a_high_max_index(monkeypatch, capsys):
+    def no_verify(*args):
+        raise AssertionError("a level was verified before every level was checked")
+    monkeypatch.setattr(cli, "verify_rep", no_verify)
+    # two faults: every level is checked before any window
+    code = cli.main(["verify", "--suite", "rep-n", "--window", "1..60", "--particles", "2",
+                     "--levels", "0,-1", "--max-index", "61"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("\n") == 1 and err.startswith("error:") and "level must be nonnegative" in err
+
+
+@pytest.mark.parametrize("suite, window, least", [
+    ("relations-z", "-3..3", 2), ("anti", "1..3", 2), ("anti", "1..1", 1),
+    ("exel-laca", "-3..3", 1), ("rep-n", "1..3", 1)])
+def test_suites_refuse_particles_below_their_largest_surplus(capsys, suite, window, least):
+    # one particle fewer leaves some identity no interior column to be checked on
+    argv = ["verify", "--suite", suite, "--window", window, "--max-size", "1", "--particles"]
+    assert cli.main(argv + [str(least - 1)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and f"must be at least {least}," in err
+    assert cli.main(argv + [str(least)]) == 0
+    checked = [i for i in json.loads(capsys.readouterr().out)["instances"]
+               if "columns" in i.get("details", {})]
+    assert checked and all(i["details"]["columns"] >= 1 for i in checked)
+
+
 def test_reports_deterministic():
     mask = lambda b: RUNTIME.sub(b'"runtimeMillis": X', b)
     for args in (("rewrite", "--case", "z", "--expr", "q(2) p(1)"),

@@ -117,7 +117,7 @@ def test_verify_el_suite_small_exact():
 def test_verify_el_suite_explicit_pairs():
     space = TruncSpace("Z", -4, 4, 3)
     report = verify_el_suite(space, WMZ, universe=[-1, 0, 1, 2],
-                             pairs=[([2], [0]), ([1], [-1])], remark=False)
+                             pairs=[([2], [0]), ([1], [-1])])
     assert report.passed
     sums = [i for i in report.instances if i.id.startswith("sum-relation")]
     assert len(sums) == 2

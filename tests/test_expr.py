@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 
 from conftest import random_element_z
 from wmfock import scalars as sc
-from wmfock.expr import Case, Element, ParseError, parse, to_string
+from wmfock.expr import Case, Element, ParseError, parse
 
 
 def w(*letters):
@@ -153,7 +153,7 @@ def test_case_mismatch_rejected():
 def test_print_parse_round_trip_simple():
     for text in ("2*a(1)c(1) + I", "c(0)c(-1)", "(1/2)*a(2)"):
         e = parse(text, "Z")
-        assert parse(to_string(e), "Z") == e
+        assert parse(str(e), "Z") == e
 
 
 small = st.integers(min_value=-3, max_value=3)
@@ -196,7 +196,7 @@ def test_distributivity(x, y, z):
 
 @given(elements)
 def test_print_parse_round_trip(x):
-    assert parse(to_string(x), "Z") == x
+    assert parse(str(x), "Z") == x
 
 
 @given(elements)

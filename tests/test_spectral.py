@@ -282,10 +282,6 @@ def test_commutant_basis_byte_identical(mats, dim, digest):
 
 def test_rep_matrix_frozen():
     space = TruncSpace("N", 1, 3, 3)
-    # "formal" labels every unimodular phase at once, and no scalar stands
-    # for it
-    with pytest.raises(ValueError, match="a formal spec has no matrix"):
-        rep_matrix(RepSpec(0, "formal", space), 0)
     s0 = rep_matrix(RepSpec(0, 1, space), 0)
     vac = space.position(())
     assert s0.entries == {(vac, vac): 1}
@@ -345,7 +341,7 @@ def test_rep_matrix_normal_partial_isometry():
 def test_rep_spec_guards():
     space = TruncSpace("N", 1, 3, 3)
     with pytest.raises(ValueError):
-        RepSpec(-1, "formal", space)
+        RepSpec(-1, 1, space)
     with pytest.raises(ValueError):
         RepSpec(0, 2, space)  # not unimodular
     with pytest.raises(ValueError):
@@ -354,21 +350,19 @@ def test_rep_spec_guards():
         RepSpec(0, 1 + Fraction(1, 10 ** 15), space)  # exact: no tolerance
 
 
-def test_phase_unimodular_instance():
-    space = TruncSpace("N", 1, 2, 2)
-    for phase in (-1, 1j, scalars.gaussian(Fraction(3, 5), Fraction(4, 5)), 0.6 + 0.8j):
-        inst = verify_rep(RepSpec(0, phase, space), 1).instances[0]
-        assert inst.id == "phase-unimodular" and inst.passed
-        if scalars.is_exact(phase):
-            assert inst.discrepancy == "exact-0"
-        else:
-            assert type(inst.discrepancy) is float and inst.discrepancy <= 1e-12
+def test_verify_rep_refuses_a_negative_level_before_any_matrix(monkeypatch):
+    def no_matrix(*args):
+        raise AssertionError("a matrix was built before the level was checked")
+    monkeypatch.setattr(spectral, "rep_matrix", no_matrix)
+    monkeypatch.setattr(spectral, "evaluate", no_matrix)
+    with pytest.raises(ValueError, match="level must be nonnegative"):
+        verify_rep(TruncSpace("N", 1, 3, 3), -1, 3)
 
 
 def test_verify_rep_formal():
     space = TruncSpace("N", 1, 4, 4)
     for level in (0, 1, 2):
-        report = verify_rep(RepSpec(level, "formal", space), 4)
+        report = verify_rep(space, level, 4)
         assert report.passed, [i.id for i in report.instances if not i.passed]
         kinds = {i.id.split("[")[0] for i in report.instances}
         assert {"orthogonal", "sum-relation", "partial-isometry",
@@ -377,7 +371,7 @@ def test_verify_rep_formal():
 
 def test_verify_rep_exactness():
     space = TruncSpace("N", 1, 3, 3)
-    report = verify_rep(RepSpec(0, "formal", space), 3)
+    report = verify_rep(space, 0, 3)
     for inst in report.instances:
         assert inst.discrepancy in (None, "exact-0", 0)
 
@@ -398,7 +392,7 @@ REP_FAULTS = [
                          ids=["as-is", "conjugate-gauge", "level-ignored", "gauge-ignored"])
 def test_rep_n_refutes_a_faulty_level_map(monkeypatch, level_map, failing):
     monkeypatch.setattr(spectral, "level_image", level_map)
-    report = verify_rep(RepSpec(1, "formal", TruncSpace("N", 1, 4, 3)), 3)
+    report = verify_rep(TruncSpace("N", 1, 4, 3), 1, 3)
     assert len(report.instances) == 25
     assert [i.id for i in report.instances if not i.passed] == failing
 
@@ -503,9 +497,9 @@ def test_decompose_matches_full_svd_and_iterated_range(spec):
     seen = []
     thin, reach = spectral._nullspace_dense, spectral._reachable_dim
 
-    def nullspace_spy(a, tol=1e-9):
-        got = thin(a, tol)
-        assert np.array_equal(got, _full_nullspace(a, tol))
+    def nullspace_spy(a):
+        got = thin(a)
+        assert np.array_equal(got, _full_nullspace(a))
         seen.append(a.shape)
         return got
 
@@ -568,7 +562,7 @@ WIDE_WORD = Element.word("N", ((1_000_000, True),) * 1500)
     (lambda: check_nonconvergence(TruncSpace("Z", -100_000, 0, 2), 100_000), "word evaluations"),
     (lambda: moment_sequence(parse(LONG_WORD, "Z"), 447), "above the bound"),
     (lambda: check_decompose_size(3, 10 ** 100, [(0, 1, 1)]), "decompose bound"),
-    (lambda: verify_rep(RepSpec(0, "formal", TruncSpace("N", 1, 3, 20_000_000)), 3),
+    (lambda: verify_rep(TruncSpace("N", 1, 3, 20_000_000), 0, 3),
      "exceeds cap"),
     (lambda: check_rep_size(TruncSpace("N", 1, 3, 20_000_000), 3, 3), "rep-n suite"),
     (lambda: check_rep_size(TruncSpace("N", 1, 2, 1), 1, 3000), "rep-n suite"),
