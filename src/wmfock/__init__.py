@@ -40,13 +40,7 @@ from .fock import (
     evaluate,
     verify_identity,
 )
-from .exel_laca import (
-    ELKind,
-    ELMatrixSpec,
-    a_coeff,
-    support_set,
-    verify_el_suite,
-)
+from .exel_laca import a_coeff, support_set, verify_el_suite
 from .ergodic import (
     cesaro_average,
     check_cesaro_bound,
@@ -82,7 +76,7 @@ __all__ = [
     "normalize_z", "normalize_n", "equal_z", "equal_n",
     "TruncSpace", "SparseMat", "enumerate_basis", "evaluate",
     "build_generator", "apply_element_to_vector", "verify_identity",
-    "ELKind", "ELMatrixSpec", "a_coeff", "support_set", "verify_el_suite",
+    "a_coeff", "support_set", "verify_el_suite",
     "cesaro_average", "check_cesaro_bound",
     "check_nonconvergence", "omega_t", "fixed_point_check", "vacuum_certificate",
     "Polynomial", "recurrence_family", "position_element", "vacuum_moment",

@@ -43,7 +43,7 @@ from .ergodic import (
     omega_t,
     vacuum_certificate,
 )
-from .exel_laca import ELKind, ELMatrixSpec, verify_el_suite
+from .exel_laca import verify_el_suite
 from .expr import Case, ParseError, parse, word_str
 from .fock import TruncSpace, evaluate
 from .reports import EXACT_ZERO, Instance, Report, csv_render, jsonify
@@ -152,13 +152,12 @@ def _cmd_verify(args) -> Report:
     if args.suite == "anti":
         return anti_suite(TruncSpace(Case.ANTI, lo, hi, args.particles))
     if args.suite == "exel-laca":
-        spec = ELMatrixSpec(ELKind.WM_Z if lo < 1 else ELKind.WM_N)
-        space = TruncSpace(spec.case, lo, hi, args.particles)
+        space = TruncSpace(Case.Z if lo < 1 else Case.N, lo, hi, args.particles)
         pairs = _family_pairs(args.family) if args.family else None
         universe = list(range(lo + args.depth, hi - args.depth + 1))
         if not universe:
             raise ValueError("window too small for the requested depth")
-        return verify_el_suite(space, spec, universe, max_size=args.max_size, pairs=pairs)
+        return verify_el_suite(space, universe, max_size=args.max_size, pairs=pairs)
     # rep-n, the last suite the parser admits
     if lo != 1:
         raise ValueError("rep-n windows start at 1")

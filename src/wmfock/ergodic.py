@@ -92,7 +92,8 @@ def check_cesaro_bound(space: TruncSpace, word_element: Element, n: int) -> Cesa
     one image (an entry other than c/n), or columns of neither pattern,
     raise InternalConsistencyError.  A space above its dimension cap raises
     SizeLimitError before any evaluation, and a window too small for the
-    shifts raises WindowError.
+    shifts raises WindowError.  A word whose creator surplus exceeds the
+    particle count has no interior column, and raises ValueError before any.
     """
     if len(word_element.terms) != 1 or not scalars.is_zero(word_element.unit):
         raise ValueError("the Cesaro bound applies to a single word")
@@ -109,6 +110,9 @@ def check_cesaro_bound(space: TruncSpace, word_element: Element, n: int) -> Cesa
     # the average's coefficient, as cesaro_average would give it
     entry = scalars.mul(Fraction(1, n), scalars.add(0, coeff))
     m = space.trunc - word_surplus(word)  # interior columns hold at most m particles
+    if m < 0:
+        raise ValueError(f"creator surplus {space.trunc - m} exceeds the particle count "
+                         f"{space.trunc}: no column is interior")
     hits = [(t, img) for w in (word_shift(word, k) for k in range(n))
             for t in acting_tuples(space, w, m) if (img := word_image(space, w, t)) is not None]
     # zip(*hits) is the columns and the rows of the entries, or empty
@@ -125,7 +129,7 @@ def check_cesaro_bound(space: TruncSpace, word_element: Element, n: int) -> Cesa
             "in one row; its columns are neither row- nor column-disjoint")
     norm = math.sqrt(float(scalars.abs2(entry) * max(most_in_col, most_in_row)))
     bound = 1.0 / math.sqrt(n) + 1e-9
-    columns = math.comb(space.width + m, m) if m >= 0 else 0
+    columns = math.comb(space.width + m, m)
     return CesaroCheck(bound, norm, columns, norm <= bound)
 
 

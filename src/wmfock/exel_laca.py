@@ -1,8 +1,9 @@
 """Relation matrices of Exel-Laca type and verification of their conditions.
 
 A relation matrix assigns each ordered generator pair (i, j) a 0/1 entry.
-Two kinds cover the weakly monotone family: entry(i, j) = [i >= j],
-indexed over all integers or over the naturals.  The conditions checked
+The weakly monotone matrix is entry(i, j) = [i >= j], indexed over the
+integers in the Z case and over the naturals in the N case; the case is
+the space's, and the ANTI case has no such matrix.  The conditions checked
 are, with q(i) the support projection of the i-th generator and p(i) its
 range projection:
 
@@ -19,68 +20,39 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from enum import Enum
 from functools import partial
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .errors import FinitenessError, SizeLimitError
-from .expr import Case, Element
+from .expr import Case, Element, check_index
 from .fock import TruncSpace
 from .reports import Instance, Report
 from .suites import check_particles, run_identity
 
 
-class ELKind(Enum):
-    WM_Z = "WM_Z"
-    WM_N = "WM_N"
-
-    @staticmethod
-    def coerce(v) -> "ELKind":
-        if isinstance(v, ELKind):
-            return v
-        return ELKind(str(v))
+def _matrix_case(case) -> Case:
+    """The case of a weakly monotone relation matrix, Z or N; ValueError otherwise."""
+    case = Case.coerce(case)
+    if case is Case.ANTI:
+        raise ValueError("the weakly monotone relation matrix is over Z or N, not ANTI")
+    return case
 
 
-@dataclass(frozen=True)
-class ELMatrixSpec:
-    """The weakly monotone relation matrix over the integers or the naturals."""
-
-    kind: ELKind
-
-    def __post_init__(self):
-        object.__setattr__(self, "kind", ELKind.coerce(self.kind))
-
-    @property
-    def case(self) -> Case:
-        return Case.Z if self.kind is ELKind.WM_Z else Case.N
-
-    def check_index(self, i: int) -> None:
-        if self.kind is ELKind.WM_N and i < 0:
-            raise ValueError(f"index {i} outside the natural index set")
-
-    def entry(self, i: int, j: int) -> int:
-        self.check_index(i)
-        self.check_index(j)
-        return 1 if i >= j else 0
+def a_coeff(case, X: Iterable[int], Y: Iterable[int], j: int) -> int:
+    """Product of entries [x >= j] over X and complements [y < j] over Y; 0 or 1."""
+    case = _matrix_case(case)
+    X, Y = tuple(X), tuple(Y)
+    for i in (*X, *Y, j):
+        check_index(case, i)
+    return int(all(x >= j for x in X) and all(y < j for y in Y))
 
 
-def a_coeff(spec: ELMatrixSpec, X: Iterable[int], Y: Iterable[int], j: int) -> int:
-    """Product of entries over X and complements over Y at column j; 0 or 1."""
-    for x in X:
-        if spec.entry(x, j) == 0:
-            return 0
-    for y in Y:
-        if spec.entry(y, j) == 1:
-            return 0
-    return 1
-
-
-def support_set(spec: ELMatrixSpec, X: Iterable[int], Y: Iterable[int]) -> Tuple[int, ...]:
+def support_set(case, X: Iterable[int], Y: Iterable[int]) -> Tuple[int, ...]:
     """Sorted tuple of columns j with a_coeff = 1; FinitenessError if infinite."""
+    case = _matrix_case(case)
     xs, ys = set(X), set(Y)
     for i in xs | ys:
-        spec.check_index(i)
+        check_index(case, i)
     # coefficient 1 exactly on (max Y, min X] within the index set
     if not xs:
         # no upper cap on j, and some (or all) large j have coefficient 1
@@ -88,7 +60,7 @@ def support_set(spec: ELMatrixSpec, X: Iterable[int], Y: Iterable[int]) -> Tuple
     hi = min(xs)
     if ys:
         lo = max(ys) + 1
-    elif spec.kind is ELKind.WM_N:
+    elif case is Case.N:
         lo = 0
     else:
         raise FinitenessError("support set over the integers is unbounded below without a Y constraint")
@@ -103,16 +75,15 @@ def _p(case: Case, i: int) -> Element:
     return Element.word(case, ((i, True), (i, False)))
 
 
-def condition_elements(spec: ELMatrixSpec, X: Sequence[int], Y: Sequence[int]) -> Tuple[Element, Element]:
+def condition_elements(case, X: Sequence[int], Y: Sequence[int]) -> Tuple[Element, Element]:
     """Left and right side of condition (4) for the given constraint sets."""
-    case = spec.case
     lhs = Element.one(case)
     for x in sorted(X, reverse=True):
         lhs = lhs * _q(case, x)
     for y in sorted(Y, reverse=True):
         lhs = lhs * (Element.one(case) - _q(case, y))
     rhs = Element.zero(case)
-    for j in support_set(spec, X, Y):
+    for j in support_set(case, X, Y):
         rhs = rhs + _p(case, j)
     return lhs, rhs
 
@@ -138,7 +109,6 @@ def _subsets(universe: Sequence[int], max_size: int) -> List[Tuple[int, ...]]:
 
 def verify_el_suite(
     space: TruncSpace,
-    spec: ELMatrixSpec,
     universe: Sequence[int],
     max_size: int = 2,
     pairs: Optional[Sequence[Tuple[Sequence[int], Sequence[int]]]] = None,
@@ -146,10 +116,11 @@ def verify_el_suite(
     """Exhaustive check of conditions (1)-(4) and the ladder over a finite
     index universe.
 
-    Column tuples are restricted to the universe's margin inside the window,
-    which loses nothing because every letter index lives in the universe: an
-    empty universe, or a pair index outside it, raises ValueError before any
-    work.  With pairs given, only those (X, Y) combinations are run for
+    The space's case picks the relation matrix; an ANTI space raises
+    ValueError before any other check.  Column tuples are restricted to the
+    universe's margin inside the window, which loses nothing because every
+    letter index lives in the universe: an empty universe, or a pair index
+    outside it, raises ValueError before any work.  With pairs given, only those (X, Y) combinations are run for
     condition (4); otherwise all pairs of subsets up to max_size (no subset
     is larger than the universe), where combinations whose support set is
     infinite are asserted to raise FinitenessError instead.  More than
@@ -158,12 +129,11 @@ def verify_el_suite(
     window.  Every identity has creator surplus at most 1 and q-on-p[i,i]
     has 1, so a space with no particle raises ValueError, after those.
     """
-    case = spec.case
+    case = _matrix_case(space.case)
     universe = sorted(universe)
     if not universe:
         raise ValueError("the universe is empty")
     for i in universe:
-        spec.check_index(i)
         if not space.contains_index(i):
             raise ValueError(f"universe index {i} outside the window")
     for X, Y in pairs or ():
@@ -180,7 +150,7 @@ def verify_el_suite(
         sum(math.comb(u, k) for k in range(size + 1)) ** 2
     # conditions (1)-(3), the (X, Y) pairs and the ladder
     identities = 3 * math.comb(u, 2) + u * u + n_pairs + u - 1
-    universe_space = TruncSpace(space.case, universe[0], universe[-1], space.trunc)
+    universe_space = TruncSpace(case, universe[0], universe[-1], space.trunc)
     if universe_space.dimension_exceeds(EL_MAX_COLUMNS // identities):
         raise SizeLimitError(f"exel-laca suite: {identities:,} identities over {u} indices "
                              f"with {space.trunc} particles could check more than "
@@ -190,7 +160,7 @@ def verify_el_suite(
     report = Report(
         suite="exel-laca",
         config={
-            "kind": spec.kind.value,
+            "kind": f"WM_{case.value}",
             "window": [space.lo, space.hi],
             "particles": space.trunc,
             "universe": list(universe),
@@ -206,7 +176,7 @@ def verify_el_suite(
                 run(f"p-orthogonal[{i},{j}]", _p(case, i) * _p(case, j), Element.zero(case))
                 run(f"p-orthogonal[{j},{i}]", _p(case, j) * _p(case, i), Element.zero(case))
             run(f"q-on-p[{i},{j}]", _q(case, i) * _p(case, j),
-                _p(case, j).scale(spec.entry(i, j)))
+                _p(case, j).scale(1 if i >= j else 0))
 
     if pairs is None:
         subsets = _subsets(universe, size)
@@ -214,15 +184,14 @@ def verify_el_suite(
     for X, Y in pairs:
         iid = f"sum-relation[X={_set_label(X)},Y={_set_label(Y)}]"
         try:
-            lhs, rhs = condition_elements(spec, X, Y)
+            lhs, rhs = condition_elements(case, X, Y)
         except FinitenessError as exc:
             report.add(Instance(iid, True, None,
                                 {"support": "infinite", "error": str(exc)}))
             continue
         run(iid, lhs, rhs)
 
-    low = universe[0] if spec.kind is ELKind.WM_Z else max(universe[0], 0)
-    for j in range(low, universe[-1]):
+    for j in range(universe[0], universe[-1]):
         run(f"ladder[q({j + 1})=q({j})+p({j + 1})]",
             _q(case, j + 1), _q(case, j) + _p(case, j + 1))
 

@@ -485,12 +485,16 @@ def verify_identity(space: TruncSpace, lhs: Element, rhs: Element,
 
     The margin defaults to the max creator surplus of the words on either
     side, which is the least margin for which truncated and untruncated
-    actions agree on the interior.
+    actions agree on the interior.  A margin above the space's particle
+    count leaves no interior column, and raises ValueError before any.
     """
     space.check_indices(lhs)
     space.check_indices(rhs)
     if margin is None:
         margin = max(lhs.max_surplus(), rhs.max_surplus())
+    if margin > space.trunc:
+        raise ValueError(f"margin {margin} exceeds the particle count {space.trunc}: "
+                         "no column is interior")
     # exact coefficients give exact entries, so skipping equal columns
     # cannot hide an inexact one from the exact flag
     skip_equal = lhs.is_exact() and rhs.is_exact()

@@ -409,12 +409,18 @@ def verify_rep(space: TruncSpace, level: int, max_index: int) -> Report:
 
 def check_rep_window(space: TruncSpace, levels: Sequence[int], max_index: int) -> None:
     """Refuse verify_rep at each of levels up to max_index: ValueError for a
-    negative level (every level is checked first), then WindowError when
-    generator max_index, shifted down by a level, leaves the window, then
-    ValueError for a space with no particle, where sum-relation,
-    partial-isometry and vacuum-projection would have no interior column."""
+    negative level (every level is checked first), then ValueError for a
+    level given twice, then WindowError when generator max_index, shifted
+    down by a level, leaves the window, then ValueError for a space with no
+    particle, where sum-relation, partial-isometry and vacuum-projection
+    would have no interior column."""
     if any(level < 0 for level in levels):
         raise ValueError("level must be nonnegative")
+    seen = set()
+    for level in levels:
+        if level in seen:
+            raise ValueError(f"level {level} given twice")
+        seen.add(level)
     for level in levels:
         if max_index > level and max_index - level > space.hi:
             raise WindowError(f"generator {max_index} needs window top {max_index - level}")

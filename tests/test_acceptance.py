@@ -17,7 +17,7 @@ import pytest
 import oracles
 from conftest import random_element_anti, random_element_z
 from wmfock.exactla import rank_of
-from wmfock.exel_laca import ELKind, ELMatrixSpec, verify_el_suite
+from wmfock.exel_laca import verify_el_suite
 from wmfock.ergodic import (check_cesaro_bound, check_nonconvergence,
                             omega_t, vacuum_certificate)
 from wmfock.expr import Case, Element, parse
@@ -145,8 +145,7 @@ def test_criterion_02_hamel_independence():
 def test_criterion_03_exel_laca_suite():
     started = time.time()
     space = TruncSpace("Z", -6, 6, 4)
-    report = verify_el_suite(space, ELMatrixSpec(ELKind.WM_Z),
-                             universe=range(-4, 5), max_size=2)
+    report = verify_el_suite(space, universe=range(-4, 5), max_size=2)
     assert report.passed
     for inst in report.instances:
         assert inst.passed, inst.id

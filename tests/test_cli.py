@@ -254,6 +254,24 @@ def test_rep_n_refuses_a_bad_level_before_verifying_any(monkeypatch, capsys):
     assert err.count("\n") == 1 and err.startswith("error:") and "level must be nonnegative" in err
 
 
+@pytest.mark.parametrize("levels, message", [
+    (("0,0",), "level 0 given twice"),
+    (("1,01",), "level 1 given twice"),
+    # a negative level is still named first, and a repeat before the window
+    (("0,0,-1",), "level must be nonnegative"),
+    (("2,2", "--max-index", "61"), "level 2 given twice"),
+])
+def test_rep_n_refuses_a_repeated_level_before_verifying_any(monkeypatch, capsys, levels, message):
+    def no_verify(*args):
+        raise AssertionError("a level was verified before every level was checked")
+    monkeypatch.setattr(cli, "verify_rep", no_verify)
+    code = cli.main(["verify", "--suite", "rep-n", "--window", "1..60", "--particles", "2",
+                     "--levels", *levels])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("\n") == 1 and err.startswith("error:") and message in err
+
+
 def test_rep_n_refuses_a_high_max_index_before_verifying_any(monkeypatch, capsys):
     def no_verify(*args):
         raise AssertionError("a level was verified before every level was checked")

@@ -108,6 +108,21 @@ def test_cesaro_bound_annihilator():
     assert chk.norm_lower <= Fraction(1, 3) + 1e-9
 
 
+def test_cesaro_bound_refuses_a_word_above_the_particles(monkeypatch):
+    # with 2 particles the average reads norm 1 against the bound 1/2; with
+    # 1 particle no column is interior, so the check would pass on none
+    word = parse("2*c(2)c(1)", "Z")
+    assert not check_cesaro_bound(TruncSpace("Z", 1, 10, 2), word, 4).passed
+
+    def no_columns(*args):
+        raise AssertionError("a column was checked above the particle count")
+
+    monkeypatch.setattr(ergodic, "acting_tuples", no_columns)
+    with pytest.raises(ValueError, match="^creator surplus 2 exceeds the particle count 1: "
+                                         "no column is interior$"):
+        check_cesaro_bound(TruncSpace("Z", 1, 10, 1), word, 4)
+
+
 def _cesaro_space(word, particles, n):
     """The window the cesaro subcommand uses: the word's indices and n - 1 shifts."""
     idx = [i for i, _ in word]

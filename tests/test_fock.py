@@ -242,6 +242,21 @@ def test_verify_identity_reports_failures():
     assert chk.discrepancy_json != "exact-0"
 
 
+def test_verify_identity_refuses_a_margin_above_the_particles(monkeypatch):
+    # c(1)c(0) = 0 is false, but with one particle no column is interior to it
+    def no_columns(*args):
+        raise AssertionError("a column was checked above the particle count")
+
+    monkeypatch.setattr(fock, "column_action", no_columns)
+    space = TruncSpace("Z", -3, 3, 1)
+    lhs, zero = parse("c(1)c(0)", "Z"), Element.zero("Z")
+    with pytest.raises(ValueError, match="^margin 2 exceeds the particle count 1: "
+                                         "no column is interior$"):
+        verify_identity(space, lhs, zero)
+    with pytest.raises(ValueError, match="^margin 3 exceeds"):
+        verify_identity(space, zero, zero, margin=3)
+
+
 def test_identity_check_json_tag():
     nspace = TruncSpace("N", 1, 3, 3)
     chk = verify_identity(nspace, parse("q(1)", "N"), parse("p(0) + p(1)", "N"))
