@@ -43,7 +43,7 @@ from .ergodic import (
     omega_t,
     vacuum_certificate,
 )
-from .exel_laca import verify_el_suite
+from .exel_laca import check_el_size, verify_el_suite
 from .expr import Case, ParseError, parse, word_str
 from .fock import TruncSpace, evaluate
 from .reports import EXACT_ZERO, Instance, Report, csv_render, jsonify
@@ -154,10 +154,13 @@ def _cmd_verify(args) -> Report:
     if args.suite == "exel-laca":
         space = TruncSpace(Case.Z if lo < 1 else Case.N, lo, hi, args.particles)
         pairs = _family_pairs(args.family) if args.family else None
-        universe = list(range(lo + args.depth, hi - args.depth + 1))
-        if not universe:
+        first, last = lo + args.depth, hi - args.depth
+        if first > last:
             raise ValueError("window too small for the requested depth")
-        return verify_el_suite(space, universe, max_size=args.max_size, pairs=pairs)
+        # sized from its ends: a window of 10**20 indices is refused before it is listed
+        check_el_size(space, last - first + 1, first, last, args.max_size, pairs)
+        return verify_el_suite(space, range(first, last + 1), max_size=args.max_size,
+                               pairs=pairs)
     # rep-n, the last suite the parser admits
     if lo != 1:
         raise ValueError("rep-n windows start at 1")

@@ -59,7 +59,9 @@ class CesaroCheck:
     ``norm_lower`` is the exact operator norm of the average on the interior
     columns (a lower bound for the untruncated norm), rounded to a float
     only by its final square root; ``columns`` counts those columns, and
-    ``bound`` is 1/sqrt(n) + 1e-9.
+    ``bound`` is 1/sqrt(n) + 1e-9.  ``passed`` compares the exact squared
+    norm with 1/n when the word's coefficient is exact, and ``norm_lower``
+    with ``bound`` when it is a float.
     """
 
     bound: float
@@ -127,10 +129,12 @@ def check_cesaro_bound(space: TruncSpace, word_element: Element, n: int) -> Cesa
         raise InternalConsistencyError(
             f"Cesaro average has {most_in_col} entries in one column and {most_in_row} "
             "in one row; its columns are neither row- nor column-disjoint")
-    norm = math.sqrt(float(scalars.abs2(entry) * max(most_in_col, most_in_row)))
+    norm_sq = scalars.abs2(entry) * max(most_in_col, most_in_row)
+    norm = math.sqrt(float(norm_sq))
     bound = 1.0 / math.sqrt(n) + 1e-9
+    passed = norm_sq <= Fraction(1, n) if scalars.is_exact(entry) else norm <= bound
     columns = math.comb(space.width + m, m)
-    return CesaroCheck(bound, norm, columns, norm <= bound)
+    return CesaroCheck(bound, norm, columns, passed)
 
 
 @dataclass(frozen=True)

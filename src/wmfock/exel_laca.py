@@ -107,6 +107,28 @@ def _subsets(universe: Sequence[int], max_size: int) -> List[Tuple[int, ...]]:
     return [s for k in range(max_size + 1) for s in itertools.combinations(universe, k)]
 
 
+def check_el_size(space: TruncSpace, u: int, first: int, last: int, max_size: int = 2,
+                  pairs: Optional[Sequence] = None) -> None:
+    """Refuse a suite over u universe indices from first to last with more
+    than EL_MAX_PAIRS generated (X, Y) pairs, or more than EL_MAX_COLUMNS
+    identities times the tuples of first..last.  Only ints are formed, so a
+    universe too large to list is refused at once."""
+    size = min(max_size, u)
+    counts = itertools.accumulate(math.comb(u, k) for k in range(size + 1))
+    if pairs is None and any(n * n > EL_MAX_PAIRS for n in counts):
+        raise SizeLimitError(f"exel-laca suite: the (X, Y) pairs of sets up to size {size} "
+                             f"over {u} indices exceed the bound of {EL_MAX_PAIRS:,}")
+    n_pairs = len(pairs) if pairs is not None else \
+        sum(math.comb(u, k) for k in range(size + 1)) ** 2
+    # conditions (1)-(3), the (X, Y) pairs and the ladder
+    identities = 3 * math.comb(u, 2) + u * u + n_pairs + u - 1
+    if TruncSpace(space.case, first, last, space.trunc).dimension_exceeds(
+            EL_MAX_COLUMNS // identities):
+        raise SizeLimitError(f"exel-laca suite: {identities:,} identities over {u} indices "
+                             f"with {space.trunc} particles could check more than "
+                             f"{EL_MAX_COLUMNS:,} columns")
+
+
 def verify_el_suite(
     space: TruncSpace,
     universe: Sequence[int],
@@ -126,8 +148,9 @@ def verify_el_suite(
     infinite are asserted to raise FinitenessError instead.  More than
     EL_MAX_PAIRS such pairs raise SizeLimitError before any work, and so do
     more than EL_MAX_COLUMNS identities times basis tuples of the universe's
-    window.  Every identity has creator surplus at most 1 and q-on-p[i,i]
-    has 1, so a space with no particle raises ValueError, after those.
+    window (check_el_size).  Every identity has creator surplus at most 1 and
+    q-on-p[i,i] has 1, so a space with no particle raises ValueError, after
+    those.
     """
     case = _matrix_case(space.case)
     universe = sorted(universe)
@@ -140,21 +163,7 @@ def verify_el_suite(
         for i in (*X, *Y):
             if i not in universe:
                 raise ValueError(f"pair index {i} outside the universe")
-    u = len(universe)
-    size = min(max_size, u)
-    counts = itertools.accumulate(math.comb(u, k) for k in range(size + 1))
-    if pairs is None and any(n * n > EL_MAX_PAIRS for n in counts):
-        raise SizeLimitError(f"exel-laca suite: the (X, Y) pairs of sets up to size {size} "
-                             f"over {u} indices exceed the bound of {EL_MAX_PAIRS:,}")
-    n_pairs = len(pairs) if pairs is not None else \
-        sum(math.comb(u, k) for k in range(size + 1)) ** 2
-    # conditions (1)-(3), the (X, Y) pairs and the ladder
-    identities = 3 * math.comb(u, 2) + u * u + n_pairs + u - 1
-    universe_space = TruncSpace(case, universe[0], universe[-1], space.trunc)
-    if universe_space.dimension_exceeds(EL_MAX_COLUMNS // identities):
-        raise SizeLimitError(f"exel-laca suite: {identities:,} identities over {u} indices "
-                             f"with {space.trunc} particles could check more than "
-                             f"{EL_MAX_COLUMNS:,} columns")
+    check_el_size(space, len(universe), universe[0], universe[-1], max_size, pairs)
     check_particles("exel-laca", space, 1)
     s_margin = max(0, min(universe[0] - space.lo, space.hi - universe[-1]))
     report = Report(
@@ -179,7 +188,7 @@ def verify_el_suite(
                 _p(case, j).scale(1 if i >= j else 0))
 
     if pairs is None:
-        subsets = _subsets(universe, size)
+        subsets = _subsets(universe, min(max_size, len(universe)))
         pairs = [(X, Y) for X in subsets for Y in subsets]
     for X, Y in pairs:
         iid = f"sum-relation[X={_set_label(X)},Y={_set_label(Y)}]"

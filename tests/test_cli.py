@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -21,16 +22,41 @@ from wmfock.errors import InternalConsistencyError
 RUNTIME = re.compile(rb'"runtimeMillis": \d+')
 
 
-# the child process imports the same wmfock as this one
-SRC = str(Path(cli.__file__).resolve().parents[1])
-ENV = {**os.environ,
-       "PYTHONPATH": os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))}
+def mask(report: bytes) -> bytes:
+    return RUNTIME.sub(b'"runtimeMillis": X', report)
 
 
 def run_cli(*args):
-    proc = subprocess.run([sys.executable, "-m", "wmfock.cli", *args],
-                          capture_output=True, env=ENV)
-    return proc.returncode, proc.stdout, proc.stderr
+    """Exit code, stdout and stderr of one cli.main call in this process.
+
+    An argparse rejection or --help leaves main through SystemExit, read as
+    the exit code; any other exception fails the calling test.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(list(args))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue().encode(), err.getvalue().encode()
+
+
+@dataclass(frozen=True)
+class SpecFile:
+    """A JSON spec argument that the test writes to a file and passes by path."""
+    text: str
+
+
+def write_specs(argv, folder):
+    """argv with each SpecFile written to a file in folder and given by its path."""
+    out = []
+    for k, arg in enumerate(argv):
+        if isinstance(arg, SpecFile):
+            path = Path(folder, f"spec{k}.json")
+            path.write_text(arg.text)
+            arg = str(path)
+        out.append(arg)
+    return out
 
 
 def run_json(*args):
@@ -312,7 +338,6 @@ def test_suites_refuse_particles_below_their_largest_surplus(capsys, suite, wind
 
 
 def test_reports_deterministic():
-    mask = lambda b: RUNTIME.sub(b'"runtimeMillis": X', b)
     for args in (("rewrite", "--case", "z", "--expr", "q(2) p(1)"),
                  ("moments", "--expr", "x(1)", "--max-order", "8"),
                  ("nonconvergence", "--n", "8")):
@@ -336,8 +361,7 @@ def test_verify_reports_byte_identical(args, digest):
     # sha256 of the report with runtimeMillis masked, as first recorded
     code, out, err = run_cli(*args)
     assert code == 0, err.decode()
-    masked = RUNTIME.sub(b'"runtimeMillis": X', out)
-    assert hashlib.sha256(masked).hexdigest() == digest
+    assert hashlib.sha256(mask(out)).hexdigest() == digest
 
 
 def test_commutant_report_byte_identical():
@@ -345,8 +369,7 @@ def test_commutant_report_byte_identical():
                        "exprs": ["x(1)", "x(2)"]}, separators=(",", ":"))
     code, out, err = run_cli("commutant", "--gens", spec)
     assert code == 0, err.decode()
-    masked = RUNTIME.sub(b'"runtimeMillis": X', out)
-    assert hashlib.sha256(masked).hexdigest() == \
+    assert hashlib.sha256(mask(out)).hexdigest() == \
         "4429c96bb26f1245c2d782ac45071cf6c3eb855d45de9fc40c1e6d6c820ba5ac"
 
 
@@ -384,8 +407,7 @@ def test_shift_average_and_commutant_reports_byte_identical(args, digest):
     # sha256 of the output with runtimeMillis masked, as first recorded
     code, out, err = run_cli(*args)
     assert code == 0, err.decode()
-    masked = RUNTIME.sub(b'"runtimeMillis": X', out)
-    assert hashlib.sha256(masked).hexdigest() == digest
+    assert hashlib.sha256(mask(out)).hexdigest() == digest
 
 
 @pytest.mark.parametrize("args, digest", [
@@ -404,26 +426,18 @@ def test_scalar_literal_reports_byte_identical(args, digest):
     # sha256 of the report with runtimeMillis masked, as first recorded
     code, out, err = run_cli(*args)
     assert code == 0, err.decode()
-    masked = RUNTIME.sub(b'"runtimeMillis": X', out)
-    assert hashlib.sha256(masked).hexdigest() == digest
+    assert hashlib.sha256(mask(out)).hexdigest() == digest
 
 
 @pytest.mark.parametrize("text, pos", [("c(²)", 2), ("(1+2i", 4), ("(1/2-3i", 6),
-                                       ("1e400*c(1)", 0), ("(1e400+1i)*c(1)", 1)])
+                                       ("1e400*c(1)", 0), ("(1e400+1i)*c(1)", 1),
+                                       ("c(1) -", 6)])
 def test_malformed_expression_is_one_positioned_line(text, pos):
     code, out, err = run_cli("rewrite", "--case", "z", "--expr", text)
     assert code == 2 and out == b""
     lines = err.decode().splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert len(lines) == 1 and lines[0].startswith("error:") and "None" not in lines[0]
     assert lines[0].endswith(f"(at position {pos})")
-
-
-@pytest.mark.parametrize("render", [(), ("--csv",)], ids=["json", "csv"])
-def test_non_finite_report_exits_2(render):
-    # 1e200 is a finite literal, but its square is inf, which no report holds
-    code, out, err = run_cli("moments", "--expr", "1e200*x(1)", "--max-order", "4", *render)
-    assert code == 2 and out == b""
-    assert err.count(b"\n") == 1 and err.startswith(b"error:") and b"--max-order" in err
 
 
 @pytest.mark.parametrize("spec, expected", [
@@ -527,13 +541,86 @@ def test_certificate_float_coefficient():
      b"--levels takes integers, got 'a'"),
     (("verify", "--suite", "exel-laca", "--window", "-3..3", "--particles", "2",
       "--family", '{"pairs":[{"X":[99],"Y":[]}]}'), b"pair index 99 outside the universe"),
+    (("verify", "--suite", "exel-laca", "--window", "1..4", "--particles", "2", "--depth", "3"),
+     b"window too small for the requested depth"),
+    (("reps", "decompose", "--spec",
+      '{"d":3,"particles":2,"components":[{"level":0,"phase":1}],"zeroDim":-1}'),
+     b"'zeroDim' must be >= 0"),
+    (("verify", "--suite", "exel-laca", "--window", "-3..3", "--particles", "2",
+      "--family", SpecFile('{"pairs":[{"X":1,"Y":[2]}]}')), b"'pairs' must be a list"),
+    # a bad level is refused before any good one is verified, and before a bad window
+    (("verify", "--suite", "rep-n", "--window", "1..60", "--particles", "2", "--levels", "0,-1"),
+     b"level must be nonnegative"),
+    (("verify", "--suite", "rep-n", "--window", "1..60", "--particles", "2", "--levels", "2,0",
+      "--max-index", "61"), b"needs window top 61"),
+    (("verify", "--suite", "rep-n", "--window", "1..60", "--particles", "2", "--levels", "0,-1",
+      "--max-index", "61"), b"level must be nonnegative"),
+    (("verify", "--suite", "rep-n", "--window", "1..3", "--particles", "2", "--levels", "0,0"),
+     b"level 0 given twice"),
+    (("verify", "--suite", "rep-n", "--window", "1..3", "--particles", "2", "--levels", "1,01"),
+     b"level 1 given twice"),
+    # too few particles would leave some identity no interior column
+    (("verify", "--suite", "anti", "--window", "1..3", "--particles", "1"),
+     b"must be at least 2,"),
+    (("verify", "--suite", "relations-z", "--window", "-3..3", "--particles", "1"),
+     b"must be at least 2,"),
+    (("verify", "--suite", "rep-n", "--window", "1..3", "--particles", "0"),
+     b"must be at least 1,"),
+    # 1e200 is a finite literal, but its square is inf, which no report holds
+    (("moments", "--expr", "1e200*x(1)", "--max-order", "4"), b"--max-order"),
+    (("moments", "--expr", "1e200*x(1)", "--max-order", "4", "--csv"), b"--max-order"),
+    # a universe too large to list, sized from its two ends
+    (("verify", "--suite", "exel-laca", "--window", "1..99999999999999999999",
+      "--particles", "1"), b"(X, Y) pairs"),
 ])
-def test_numeric_and_spec_faults_exit_2(args, expected):
-    code, out, err = run_cli(*args)
+def test_numeric_and_spec_faults_exit_2(args, expected, tmp_path):
+    started = time.monotonic()
+    code, out, err = run_cli(*write_specs(args, tmp_path))
+    assert time.monotonic() - started < 10
     assert code == 2
     assert out == b""
     assert err.count(b"\n") == 1 and err.startswith(b"error:") and expected in err
     assert len(err) < 200
+
+
+@pytest.mark.parametrize("args", [
+    ("verify", "--suite", "anti", "--window", "1..1", "--particles", "1500"),
+    ("nonconvergence", "--n", "157"),
+    ("verify", "--suite", "rep-n", "--window", "1..60", "--particles", "2"),
+])
+def test_largest_admitted_inputs_run_in_time(args):
+    started = time.monotonic()
+    code, out, err = run_cli(*args)
+    assert time.monotonic() - started < 10
+    assert code == 0, err.decode()
+    assert json.loads(out)["summary"]["failed"] == 0
+
+
+@pytest.mark.parametrize("word, code", [
+    ("c(2)", 0),  # norm 1/8, exactly the bound
+    ("1000000001/1000000000 c(2)", 1),  # norm 0.125000000125, inside the float slack
+    ("1.000000001 c(2)", 0),  # a float coefficient keeps the slack
+])
+def test_cesaro_verdict_is_exact_on_exact_coefficients(word, code):
+    got, out, err = run_cli("cesaro", "--word", word, "--n", "64")
+    assert got == code, err.decode()
+    inst = json.loads(out)["instances"][0]
+    assert inst["pass"] is (code == 0)
+    assert inst["details"]["bound"] == 0.125 + 1e-9
+
+
+def test_report_unchanged_by_large_calls_between():
+    # state shared by every call in the process: the cached parser and the fold memo
+    argvs = [("verify", "--suite", "exel-laca", "--window", "-4..4", "--particles", "3",
+              "--max-size", "1"),
+             ("states", "--expr", "2/3 a(1)c(1) + q(2) c(1)", "--t", "1/3")]
+    runs = lambda: [(code, mask(out), err) for code, out, err in (run_cli(*a) for a in argvs)]
+    before = runs()
+    assert [code for code, _, _ in before] == [0, 0]
+    # 2**14 words fold past the memo's bound, so it is cleared and filled again
+    assert run_cli("rewrite", "--case", "z", "--expr", "(c(1) + a(2))" * 14)[0] == 0
+    assert run_cli("verify", "--suite", "rep-n", "--window", "1..8", "--particles", "3")[0] == 0
+    assert runs() == before
 
 
 def test_many_particles_enumerate_without_recursion():
@@ -547,8 +634,60 @@ def test_nested_expr_report():
     assert run_json("rewrite", "--case", "z", "--expr", nested)["normalForm"] == "c(1)"
 
 
-# one argv per subcommand, among an argparse rejection, --help and a bad spec;
-# the second pass in-process reads each rewrite fold from the memo
+# --- the subprocess set: what only a fresh process shows ---------------------------
+# Every other test calls cli.main in this process through run_cli.  These start
+# a new interpreter: the `python -m wmfock.cli` entry point and the exit codes it
+# hands to the shell, against calls reused in one process; the exit code of an
+# exception that escapes main; and a memory bound, which a child process can
+# take without risk to this one.
+
+# the child process imports the same wmfock as this one
+SRC = str(Path(cli.__file__).resolve().parents[1])
+ENV = {**os.environ,
+       "PYTHONPATH": os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))}
+
+
+def run_process(*args, env=ENV):
+    """Exit code, stdout and stderr of `python -m wmfock.cli` in a new process."""
+    proc = subprocess.run([sys.executable, "-m", "wmfock.cli", *args],
+                          capture_output=True, env=env)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_an_escaped_exception_exits_1_with_a_traceback():
+    # in process such an exception fails the test whose call raised it
+    child = ("import runpy, sys, wmfock.rewrite\n"
+             "def boom(*args, **kwargs): raise RuntimeError('boom')\n"
+             "wmfock.rewrite.normalize_z = boom\n"
+             "sys.argv = ['wmfock', 'rewrite', '--case', 'z', '--expr', 'c(1)']\n"
+             "runpy.run_module('wmfock.cli', run_name='__main__', alter_sys=True)\n")
+    proc = subprocess.run([sys.executable, "-c", child], capture_output=True, env=ENV)
+    assert proc.returncode == 1 and proc.stdout == b""
+    assert b"Traceback" in proc.stderr and proc.stderr.endswith(b"RuntimeError: boom\n")
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads the address space from /proc")
+def test_a_huge_exel_laca_window_is_refused_before_it_is_listed():
+    # the universe of 1..30000000 once became a list first, about 1.4 GB; the
+    # child may map at most 256 MB more than it holds after import
+    child = ("import re, resource, sys\n"
+             "from wmfock import cli\n"
+             "held = re.search(r'VmSize:\\s+(\\d+) kB', open('/proc/self/status').read())\n"
+             "limit = int(held.group(1)) * 1024 + (256 << 20)\n"
+             "resource.setrlimit(resource.RLIMIT_AS, (limit, resource.getrlimit("
+             "resource.RLIMIT_AS)[1]))\n"
+             "sys.exit(cli.main(sys.argv[1:]))\n")
+    started = time.monotonic()
+    proc = subprocess.run([sys.executable, "-c", child, "verify", "--suite", "exel-laca",
+                           "--window", "1..30000000", "--particles", "1"],
+                          capture_output=True, env=ENV)
+    assert time.monotonic() - started < 10
+    assert proc.returncode == 2 and proc.stdout == b""
+    assert proc.stderr.startswith(b"error:") and b"(X, Y) pairs" in proc.stderr
+
+
+# one argv per subcommand, among an argparse rejection, --help, a bad spec and a
+# failed check; the second pass in-process reads each rewrite fold from the memo
 REUSE_ARGVS = [
     ("rewrite", "--case", "z", "--expr", "c(1) a(1)"),
     ("rewrite", "--case", "n", "--expr", "a(2)c(2)c(1)"),
@@ -565,6 +704,8 @@ REUSE_ARGVS = [
     ("certificate", "--expr", "a(0)c(0)"),
     ("nonconvergence", "--n", "3"),
     ("commutant", "--gens", '{"case":"N","window":[1,1],"particles":1,"exprs":["x(1)"]}'),
+    ("commutant", "--gens",
+     '{"case":"N","window":[1,1],"particles":1,"exprs":["x(1)"],"expect":5}'),
     ("reps", "decompose", "--spec",
      '{"d":3,"particles":3,"components":[{"level":1,"phase":-1}]}'),
     # the first entry's word again: a logged fold runs every step past the memo
@@ -572,35 +713,22 @@ REUSE_ARGVS = [
 ]
 
 
-def test_parser_reused_across_calls(monkeypatch, capsys):
+def test_parser_reused_across_calls(monkeypatch):
     assert cli.build_parser() is cli.build_parser()
     # help text wraps at the terminal width; fix it on both sides
     monkeypatch.setenv("COLUMNS", "80")
     env = {**ENV, "COLUMNS": "80"}
-    mask = lambda b: RUNTIME.sub(b'"runtimeMillis": X', b)
     fresh = {}
     for argv in REUSE_ARGVS:
-        proc = subprocess.run([sys.executable, "-m", "wmfock.cli", *argv],
-                              capture_output=True, env=env)
-        fresh[argv] = (proc.returncode, mask(proc.stdout), proc.stderr)
-    assert {code for code, _, _ in fresh.values()} == {0, 2}
-    capsys.readouterr()
+        code, out, err = run_process(*argv, env=env)
+        fresh[argv] = (code, mask(out), err)
+    assert {code for code, _, _ in fresh.values()} == {0, 1, 2}
     for argv in REUSE_ARGVS * 2:
-        try:
-            code = cli.main(list(argv))
-        except SystemExit as exc:  # argparse rejection or --help
-            code = exc.code
-        out, err = capsys.readouterr()
-        assert (code, mask(out.encode()), err.encode()) == fresh[argv], argv
+        code, out, err = run_cli(*argv)
+        assert (code, mask(out), err) == fresh[argv], argv
 
 
 # --- main() on generated argv ------------------------------------------------------
-
-@dataclass(frozen=True)
-class SpecFile:
-    """A JSON spec argument that the test writes to a file and passes by path."""
-    text: str
-
 
 EXPRS = ["c(1)", "a(1) c(1)", "x(1)", "x(1) + x(2)", "q(1) + 2 p(2)", "c(2)a(1)c(1)",
          "a(0)c(0)", "0.5*a(1)c(1)", "1/3 I + c(1)'", "I", "c(", "",
@@ -709,11 +837,7 @@ def test_main_exit_contract(argv):
     # no exception but argparse's SystemExit leaves main, and exit 2 is one error line
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
-        paths = [Path(tmp, f"spec{k}.json") for k in range(len(argv))]
-        for path, arg in zip(paths, argv):
-            if isinstance(arg, SpecFile):
-                path.write_text(arg.text)
-        argv = [str(path) if isinstance(arg, SpecFile) else arg for path, arg in zip(paths, argv)]
+        argv = write_specs(argv, tmp)
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
                 code = cli.main(argv)
