@@ -2,7 +2,9 @@
 
 Every subcommand prints one JSON report to stdout (or CSV where a sweep is
 more natural).  Exit codes: 0 all checks passed, 1 a verification failed,
-2 usage or input error, 3 internal cross-check disagreement.
+2 usage or input error (one ``error:`` line on stderr), 3 internal error:
+a cross-check disagreement, or an unexpected exception, whose traceback
+goes to stderr.
 
 A ``_cmd_*`` function returns its result (a Report, the JSON-ready dict of
 ``rewrite`` and ``moments``, or a Csv table) and neither reads the clock nor
@@ -24,17 +26,12 @@ import re
 import reprlib
 import sys
 import time
+import traceback
 from fractions import Fraction
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from . import scalars
-from .errors import (
-    FinitenessError,
-    FuelError,
-    InternalConsistencyError,
-    SizeLimitError,
-    WindowError,
-)
+from .errors import FuelError, InternalConsistencyError, SizeLimitError
 from .ergodic import (
     NONCONVERGENCE_MAX_EVALS,
     check_cesaro_bound,
@@ -44,7 +41,7 @@ from .ergodic import (
     vacuum_certificate,
 )
 from .exel_laca import check_el_size, verify_el_suite
-from .expr import Case, ParseError, parse, word_str
+from .expr import Case, parse, word_str
 from .fock import TruncSpace, evaluate
 from .reports import EXACT_ZERO, Instance, Report, csv_render, jsonify
 from .rewrite import normalize_n, normalize_z
@@ -66,6 +63,20 @@ from .suites import anti_suite, relations_z_suite
 USAGE_ERROR = 2
 CHECK_FAILED = 1
 INTERNAL_ERROR = 3
+
+# a number in an error line, plain or in groups of three digits
+_NUMBER = re.compile(r"\d{1,3}(?:,\d{3})+(?!\d)|\d+")
+
+
+def _short_numbers(text: str) -> str:
+    """text with each number of more than 20 digits cut to its first six
+    digits and its digit count, so that an error line stays short whatever
+    the input.  Shorter numbers, such as 20,000,000 or a 20-digit window
+    end, read in full."""
+    def shorten(m: re.Match) -> str:
+        digits = m[0].replace(",", "")
+        return m[0] if len(digits) <= 20 else f"{digits[:6]}...({len(digits)} digits)"
+    return _NUMBER.sub(shorten, text)
 
 
 def _parse_ints(flag: str, text: str, sep: str = ",") -> Tuple[int, ...]:
@@ -526,10 +537,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     except InternalConsistencyError as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return INTERNAL_ERROR
-    except (ParseError, ValueError, WindowError, SizeLimitError,
-            FinitenessError, FuelError, OSError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    # ParseError, SizeLimitError, WindowError and FinitenessError are ValueErrors
+    except (ValueError, FuelError, OSError, KeyError) as exc:
+        print(f"error: {_short_numbers(str(exc))}", file=sys.stderr)
         return USAGE_ERROR
+    except Exception:  # a fault in the program, not a failed check
+        traceback.print_exc()
+        return INTERNAL_ERROR
     print(text, end="")
     return 0 if passed else CHECK_FAILED
 

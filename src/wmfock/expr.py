@@ -26,7 +26,10 @@ Gaussian rational, otherwise a float complex).  Digits are any Unicode
 decimal digits, and whitespace may stand between tokens and inside a
 literal.  Any malformed input raises ParseError, whose pos is the offset
 of the offending token or character; a complex literal without its ')'
-is named as unclosed at its 'i'.
+is named as unclosed at its 'i'.  So does a sum or product, at its second
+operand and before it is formed, whose result could pass
+EXPANSION_MAX_SIZE: its terms, plus one for a unit, times the letters of
+its longest word.
 """
 
 from __future__ import annotations
@@ -305,6 +308,24 @@ class ParseError(ValueError):
 # Python frames of the recursive descent
 _MAX_NESTING = 100
 
+# the parser refuses a sum or product whose result could pass this size: its
+# terms, plus one for a unit, times the letters of its longest word.  The
+# slowest subcommand per letter is states, which folds its input three
+# times: (c(1)+a(1)) multiplied 14 times (16,384 words of 14 letters, sized
+# 344,106 at its last product) takes about 2 s in process, and 15 times
+# (737,325) is refused; rewrite, moments, certificate and commutant take
+# 0.2-1.5 s there
+EXPANSION_MAX_SIZE = 500_000
+
+
+def _check_expansion(kind: str, size: int, pos: int) -> None:
+    """Refuse, at the position pos of its second operand, a sum or product
+    whose size, counted as if no terms merged, passes EXPANSION_MAX_SIZE."""
+    if size > EXPANSION_MAX_SIZE:
+        raise ParseError(f"{kind} could expand past {EXPANSION_MAX_SIZE:,} terms times letters",
+                         pos)
+
+
 # an unsigned number: an integer or decimal with an optional exponent, or p/q
 # with an integer p; q may be any number so that a decimal q is refused by name
 _REAL = r"(?: \d+ (?:\.\d*)? | \.\d+ ) (?:[eE][+-]?\d+)?"
@@ -418,9 +439,13 @@ class _Parser:
         if negate:
             self.next()
         acc = -self.parse_term() if negate else self.parse_term()
+        longest = acc.max_word_len()  # updated per term, so no check rescans the sum
         while self.at_sym("+") or self.at_sym("-"):
             op = self.next()[1]
+            pos = self.toks[self.pos][2]
             t = self.parse_term()
+            longest = max(longest, t.max_word_len())
+            _check_expansion("sum", (len(acc.terms) + len(t.terms) + 1) * longest, pos)
             acc = acc + t if op == "+" else acc - t
         return acc
 
@@ -438,7 +463,11 @@ class _Parser:
         acc = None
         star = False  # a '*' between two factors requires the second
         while star or self.at_factor():
+            fpos = self.toks[self.pos][2]
             f = self.parse_factor()
+            if acc is not None:
+                _check_expansion("product", (len(acc.terms) + 1) * (len(f.terms) + 1)
+                                 * (acc.max_word_len() + f.max_word_len()), fpos)
             acc = f if acc is None else acc * f
             star = self.at_sym("*")
             if star:

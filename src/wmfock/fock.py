@@ -2,10 +2,14 @@
 
 This module is the package's one tuple evaluator: every word acting on a
 basis tuple and every column of an element goes through word_image and
-column_action below; accumulate is the one add-and-drop-zeros step and
-agree the one entrywise comparison that tuple-keyed vectors and rewrite's
-normal forms share.  Matrices stay sparse, with entries from the scalar
-layer; the package's one dense float route is spectral.decompose.
+column_action below, and verify_identity is the one check of an identity
+between elements on interior columns.  That includes rewrite.equal_n,
+which compares charge parts through verify_identity, and
+spectral.limit_residual, which applies its squares' words through
+word_image.  accumulate is the one add-and-drop-zeros step and agree the
+one entrywise comparison that tuple-keyed vectors and rewrite's normal
+forms share.  Matrices stay sparse, with entries from the scalar layer;
+the package's one dense float route is spectral.decompose.
 
 Basis vectors are index tuples (i1, ..., ik) with k <= trunc; the empty
 tuple is the vacuum.  Z and N cases use non-increasing tuples (i1 >= ... >=
@@ -452,12 +456,6 @@ def interior_tuples(space: TruncSpace, margin: int, index_margin: int = 0) -> It
                             lo=space.lo + index_margin, hi=space.hi - index_margin)
 
 
-def interior_columns(space: TruncSpace, margin: int, index_margin: int = 0) -> List[int]:
-    """Basis positions of the interior tuples (materializes the basis)."""
-    space.materialize()
-    return [space.position(t) for t in interior_tuples(space, margin, index_margin)]
-
-
 @dataclass
 class IdentityCheck:
     passed: bool
@@ -487,6 +485,7 @@ def verify_identity(space: TruncSpace, lhs: Element, rhs: Element,
     side, which is the least margin for which truncated and untruncated
     actions agree on the interior.  A margin above the space's particle
     count leaves no interior column, and raises ValueError before any.
+    An exact difference past float range counts as an infinite discrepancy.
     """
     space.check_indices(lhs)
     space.check_indices(rhs)
@@ -515,7 +514,10 @@ def verify_identity(space: TruncSpace, lhs: Element, rhs: Element,
                 exact = False
             if not scalars.eq(a, b):
                 passed = False
-            d = abs(scalars.to_complex(a) - scalars.to_complex(b))
+            try:
+                d = abs(scalars.to_complex(a) - scalars.to_complex(b))
+            except OverflowError:  # an exact entry past float range
+                d = math.inf
             if d > worst:
                 worst = d
     return IdentityCheck(passed=passed, exact=exact, max_discrepancy=worst,

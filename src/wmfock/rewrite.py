@@ -112,7 +112,7 @@ from typing import Callable, Dict, Iterable, NamedTuple, Optional, Tuple
 from . import scalars
 from .errors import FuelError, InternalConsistencyError, SizeLimitError
 from .expr import Case, Element, Token, Word, word_str
-from .fock import TruncSpace, accumulate, agree, column_action, level_image
+from .fock import TruncSpace, accumulate, agree, level_image, verify_identity
 
 MultiIndex = Tuple[int, ...]
 
@@ -490,10 +490,16 @@ def equal_n(x: Element, y: Element) -> bool:
     unit's is 0) agree as fock.level_image at level 0 with z = 1; a charge
     whose two parts hold the same unit and terms is skipped.
     With d one above the largest index and L the longest word (at least 1),
-    the columns are every tuple of TruncSpace(N, 1, d, 2L + 1) with at most
-    L + 1 particles, deep enough to separate words of length L.  Their
-    count, the dimension of TruncSpace(N, 1, d, L + 1), is bounded before
-    any work: above 200,000 columns SizeLimitError is raised.
+    each pair of parts goes through fock.verify_identity with margin L + 1
+    on TruncSpace(N, 1, d, 2L + 1): its columns are the tuples with at most
+    L particles, and no image reaches the truncation.  L particles are
+    enough.  A word of at most L letters reads at most L entries of a
+    tuple: as deep as it strips, plus the one head that a later creator
+    compares (or whose absence a bottom letter tests).  It passes the rest
+    of the tuple through unchanged, so (x - y)e_t = 0 for every t exactly
+    when it holds at t[:L].  The column count, the dimension of
+    TruncSpace(N, 1, d, L), is bounded before any work: above 200,000
+    columns SizeLimitError is raised.
     Agreeing canonical maps with disagreeing evaluations would mean the
     rewriter itself is broken, so that combination raises
     InternalConsistencyError.  The converse is expected: canonical path
@@ -507,21 +513,19 @@ def equal_n(x: Element, y: Element) -> bool:
     # witness the gap between a support projection and the unit
     d = max([1] + [i for i in idx]) + 1
     maxlen = max(x.max_word_len(), y.max_word_len(), 1)
-    if TruncSpace(Case.N, 1, d, maxlen + 1).dimension_exceeds(_EQUAL_N_CAP):
+    if TruncSpace(Case.N, 1, d, maxlen).dimension_exceeds(_EQUAL_N_CAP):
         raise SizeLimitError(f"cross-check space exceeds the bound of {_EQUAL_N_CAP:,} columns")
     space = TruncSpace(Case.N, 1, d, 2 * maxlen + 1)
 
     maps_agree = normalize_n(x).agrees_with(normalize_n(y))
     px, py = _charge_parts(x), _charge_parts(y)
-    cols = list(space.tuples(max_particles=maxlen + 1))
 
     def charge_agrees(q: int) -> bool:
         a, b = px.get(q, (0, {})), py.get(q, (0, {}))
         if a == b:
             return True
         ga, gb = (level_image(Element(Case.N, *part), 0, 1) for part in (a, b))
-        return all(agree(column_action(space, ga, t), column_action(space, gb, t))
-                   for t in cols)
+        return verify_identity(space, ga, gb, margin=maxlen + 1).passed
 
     evals_agree = all(charge_agrees(q) for q in px.keys() | py.keys())
 

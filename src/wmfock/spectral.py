@@ -32,13 +32,12 @@ from .fock import (
     SparseMat,
     TruncSpace,
     accumulate,
-    annihilator_tuple,
     apply_element_to_vector,
-    creator_tuple,
     evaluate,
-    interior_columns,
+    interior_tuples,
     level_image,
     vector_norm_sq,
+    word_image,
 )
 from .exactla import nullspace
 from .reports import EXACT_ZERO, Instance, Report
@@ -216,9 +215,11 @@ def limit_residual(space: TruncSpace, n_window: int, xi: BasisTuple) -> float:
 
     T is the vacuum projection plus half the complement; the average runs
     over indices -n_window..n_window.  Each square x(i)^2 = (a(i) + c(i))^2
-    is applied to xi letter by letter, and the images are counted in ints;
-    the scale 1/(2 n_window + 1) and T enter once, in the exact squared
-    norm, and only the final square root is floating point.
+    is the sum of its four words a(i)a(i), a(i)c(i), c(i)a(i) and c(i)c(i),
+    applied to xi one letter at a time by fock.word_image (a word that dies
+    at its first letter is not carried on), and the images are counted in
+    ints.  The scale 1/(2 n_window + 1) and T enter once, in the exact
+    squared norm, and only the final square root is floating point.
     """
     if space.case is not Case.Z:
         raise ValueError("the averaged-square limit lives on the integer case")
@@ -233,12 +234,12 @@ def limit_residual(space: TruncSpace, n_window: int, xi: BasisTuple) -> float:
     count = 2 * n_window + 1
     acc: Dict[BasisTuple, int] = {}
     for i in range(-n_window, n_window + 1):
-        for once in (annihilator_tuple(i, xi), creator_tuple(space, i, xi)):
-            if once is None:
-                continue
-            for twice in (annihilator_tuple(i, once), creator_tuple(space, i, once)):
-                if twice is not None:
-                    acc[twice] = acc.get(twice, 0) + 1
+        a, c = ((i, False),), ((i, True),)
+        for once in (word_image(space, a, xi), word_image(space, c, xi)):
+            if once is not None:
+                for twice in (word_image(space, a, once), word_image(space, c, once)):
+                    if twice is not None:
+                        acc[twice] = acc.get(twice, 0) + 1
     # the residual is acc / count - T xi, with T xi = (1 if vacuum else 1/2) xi
     at_xi = Fraction(acc.pop(xi, 0), count) - (1 if xi == () else Fraction(1, 2))
     norm_sq = Fraction(sum(v * v for v in acc.values()), count * count) + at_xi * at_xi
@@ -362,7 +363,7 @@ def verify_rep(space: TruncSpace, level: int, max_index: int) -> Report:
     extra = level + 1  # generator used by the vacuum-projection identity
     gens = {i: rep_matrix(unit_phase, i) for i in (*range(max_index + 1), extra)}
     dim = space.dimension  # rep_matrix listed the basis
-    cols = interior_columns(space, 1, 0)
+    cols = [space.position(t) for t in interior_tuples(space, 1)]
     levels = [len(t) for t in space.basis]
     report = Report(suite="rep-n",
                     config={"level": level,

@@ -30,7 +30,8 @@ def run_cli(*args):
     """Exit code, stdout and stderr of one cli.main call in this process.
 
     An argparse rejection or --help leaves main through SystemExit, read as
-    the exit code; any other exception fails the calling test.
+    the exit code; main turns any other exception into exit 3 with its
+    traceback on stderr.
     """
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -461,6 +462,9 @@ def test_certificate_float_coefficient():
     assert inst["pass"] is True and inst["discrepancy"] == 0.5
 
 
+BIG = str(10 ** 300)
+
+
 @pytest.mark.parametrize("args, expected", [
     (("states", "--expr", "c(1)", "--t", "1/0"), b"--t"),
     (("states", "--expr", "c(1)", "--t", "nan"), b"--t"),
@@ -572,6 +576,27 @@ def test_certificate_float_coefficient():
     # a universe too large to list, sized from its two ends
     (("verify", "--suite", "exel-laca", "--window", "1..99999999999999999999",
       "--particles", "1"), b"(X, Y) pairs"),
+    # numbers of more than 20 digits are shortened in the error line
+    (("verify", "--suite", "exel-laca", "--window", f"1..{BIG}", "--particles", "1",
+      "--max-size", "0"), b"249999...(601 digits) identities"),
+    (("verify", "--suite", "rep-n", "--window", f"1..{BIG}", "--particles", "2"),
+     b"rep-n suite"),
+    (("limit", "--N", BIG), b"above the bound of 20,001"),
+    (("moments", "--expr", "x(1)", "--max-order", BIG), b"above the bound"),
+    (("verify", "--suite", "rep-n", "--window", "1..3", "--particles", "2",
+      "--max-index", BIG), b"rep-n suite"),
+    (("nonconvergence", "--n", BIG), b"word evaluations"),
+    (("verify", "--suite", "exel-laca", "--window", "-3..3", "--particles", BIG),
+     b"100000...(301 digits) particles"),
+    (("verify", "--suite", "relations-z", "--window", "-3..3", "--particles", BIG),
+     b"relations-z suite"),
+    (("verify", "--suite", "exel-laca", "--window", f"1..{BIG}", "--particles", "1"),
+     b"(X, Y) pairs"),
+    (("verify", "--suite", "anti", "--window", f"1..{BIG}", "--particles", "2"), b"anti suite"),
+    (("cesaro", "--word", "c(1)", "--n", BIG), b"exceeds cap"),
+    # 2**20 words of 20 letters, refused at the 15th factor before it expands
+    (("rewrite", "--case", "z", "--expr", "(c(1)+a(1))" * 20),
+     b"product could expand past 500,000 terms times letters (at position 154)"),
 ])
 def test_numeric_and_spec_faults_exit_2(args, expected, tmp_path):
     started = time.monotonic()
@@ -587,6 +612,8 @@ def test_numeric_and_spec_faults_exit_2(args, expected, tmp_path):
     ("verify", "--suite", "anti", "--window", "1..1", "--particles", "1500"),
     ("nonconvergence", "--n", "157"),
     ("verify", "--suite", "rep-n", "--window", "1..60", "--particles", "2"),
+    # the largest product of (c(1)+a(1)) factors, in the slowest subcommand per letter
+    ("states", "--expr", "(c(1)+a(1))" * 14, "--t", "1/3"),
 ])
 def test_largest_admitted_inputs_run_in_time(args):
     started = time.monotonic()
@@ -638,8 +665,8 @@ def test_nested_expr_report():
 # Every other test calls cli.main in this process through run_cli.  These start
 # a new interpreter: the `python -m wmfock.cli` entry point and the exit codes it
 # hands to the shell, against calls reused in one process; the exit code of an
-# exception that escapes main; and a memory bound, which a child process can
-# take without risk to this one.
+# exception that escapes a command; and a memory bound, which a child process
+# can take without risk to this one.
 
 # the child process imports the same wmfock as this one
 SRC = str(Path(cli.__file__).resolve().parents[1])
@@ -654,15 +681,15 @@ def run_process(*args, env=ENV):
     return proc.returncode, proc.stdout, proc.stderr
 
 
-def test_an_escaped_exception_exits_1_with_a_traceback():
-    # in process such an exception fails the test whose call raised it
+def test_an_escaped_exception_exits_3_with_a_traceback():
+    # exit 1 would read as a failed check
     child = ("import runpy, sys, wmfock.rewrite\n"
              "def boom(*args, **kwargs): raise RuntimeError('boom')\n"
              "wmfock.rewrite.normalize_z = boom\n"
              "sys.argv = ['wmfock', 'rewrite', '--case', 'z', '--expr', 'c(1)']\n"
              "runpy.run_module('wmfock.cli', run_name='__main__', alter_sys=True)\n")
     proc = subprocess.run([sys.executable, "-c", child], capture_output=True, env=ENV)
-    assert proc.returncode == 1 and proc.stdout == b""
+    assert proc.returncode == 3 and proc.stdout == b""
     assert b"Traceback" in proc.stderr and proc.stderr.endswith(b"RuntimeError: boom\n")
 
 

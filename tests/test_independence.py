@@ -38,3 +38,18 @@ def test_only_spectral_imports_numpy():
                  if any(name.split(".")[0] == "numpy"
                         for name in _imported_names(ast.parse(path.read_text(), str(path))))}
     assert importers == {"spectral.py"}
+
+
+def test_only_fock_names_the_letter_actions():
+    # fock's word_image is the one word action: every other module reaches
+    # creator_tuple and annihilator_tuple only through it
+    sources = sorted(SRC.glob("*.py"))
+    assert sources
+    letters = {"creator_tuple", "annihilator_tuple"}
+    offenders = {f"{path.name}: {name}"
+                 for path in sources if path.name != "fock.py"
+                 for node in ast.walk(ast.parse(path.read_text(), str(path)))
+                 for name in [getattr(node, "id", None), getattr(node, "attr", None),
+                              getattr(node, "name", None)]
+                 if name in letters}
+    assert not offenders

@@ -135,9 +135,11 @@ def _oracle_verdict(x: Element, y: Element):
     """
     d = max([1] + list(x.indices() | y.indices())) + 1
     maxlen = max(x.max_word_len(), y.max_word_len(), 1)
-    cols = oracles.naive_tuples("N", 1, d, maxlen + 1)
-    if len(cols) > 200_000:
+    # equal_n's cap counts its own columns, those with at most L particles;
+    # the oracle walks one particle deeper
+    if len(oracles.naive_tuples("N", 1, d, maxlen)) > 200_000:
         return SizeLimitError
+    cols = oracles.naive_tuples("N", 1, d, maxlen + 1)
     roots = [cmath.exp(2j * cmath.pi * k / (2 * maxlen + 1)) for k in range(2 * maxlen + 1)]
 
     def image(e, z, t):
@@ -255,12 +257,27 @@ def test_equal_n_cap_is_checked_before_any_column(monkeypatch):
     def no_columns(*args):
         raise AssertionError("column_action called above the cap")
 
-    monkeypatch.setattr(rewrite, "column_action", no_columns)
     monkeypatch.setattr(fock, "column_action", no_columns)
-    x = Element.word("N", ((1, True),) * 9 + ((9, True),))
+    # L = 11 on indices 1..11: C(22, 11) = 705,432 columns of at most L particles
+    x = Element.word("N", ((1, True),) * 10 + ((10, True),))
     with pytest.raises(SizeLimitError) as err:
         equal_n(x, x)
     assert str(err.value) == "cross-check space exceeds the bound of 200,000 columns"
+
+
+@pytest.mark.parametrize("length", [1, 2, 3, 4])
+def test_equal_n_checks_columns_of_l_particles(length):
+    # of the columns with at most L particles, a(1)^L is nonzero on (1,)*L
+    # alone: columns of at most L - 1 particles would call it 0
+    assert equal_n(Element.word("N", ((1, False),) * length), Element.zero("N")) is False
+
+
+def test_equal_n_decides_coefficients_past_float_range():
+    # a differing column's discrepancy is a float; the verdict stays exact
+    x = Element.word("N", ((1, True),), 10 ** 400)
+    assert equal_n(x, Element.zero("N")) is False
+    assert equal_n(x, x + Element.word("N", ((2, True), (2, False)), 10 ** 400)) is False
+    assert equal_n(x, Element.word("N", ((1, True),), 10 ** 400)) is True
 
 
 def test_default_fuel_formula():
